@@ -781,7 +781,7 @@ let prove_section ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
   let results = Prove.run ~jobs ~smoke () in
   print_string (Prove.summary results);
   let path = "BENCH_prove.json" in
-  Hwpat_rtl.Util.write_file path (Prove.to_json ~jobs ~smoke results);
+  Hwpat_obs.Json.to_file path (Prove.to_json ~jobs ~smoke results);
   Printf.printf "\n  wrote %s\n" path;
   if not (Prove.all_ok results) then exit 1;
   if gate then begin

@@ -628,8 +628,7 @@ let prove smoke jobs json budget portfolio checkpoint resume retries
   (match json with
   | None -> ()
   | Some path ->
-    Hwpat_rtl.Util.write_file path
-      (Hwpat_core.Prove.to_json ~jobs ~smoke results);
+    Hwpat_obs.Json.to_file path (Hwpat_core.Prove.to_json ~jobs ~smoke results);
     Printf.printf "wrote %s\n" path);
   if Hwpat_core.Parallel.cancelled cancel then exit_interrupted ~checkpoint;
   if not (Hwpat_core.Prove.all_ok results) then exit 1

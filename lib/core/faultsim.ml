@@ -500,32 +500,29 @@ let render summary =
    (descriptions label unnamed signals positionally, never by uid), so
    two campaigns with the same parameters — serial or sharded, in the
    same process or not — render to identical bytes. *)
+let json_of_summary s =
+  let module J = Hwpat_obs.Json in
+  let result r =
+    J.Obj
+      [ ("fault", J.String r.description);
+        ("outcome", J.String (outcome_name r.outcome));
+        ("detail", Option.fold ~none:J.Null ~some:(fun d -> J.String d) r.detail);
+        ("err_flag", J.Bool r.err_flag); ("completed", J.Bool r.completed);
+        ("cycles", J.Int r.cycles) ]
+  in
+  J.Obj
+    [ ("design", J.String s.design); ("seed", J.Int s.seed);
+      ("monitors", J.Int s.monitors);
+      ("baseline_cycles", J.Int s.baseline_cycles);
+      ("faults", J.Int (List.length s.results));
+      ("detected", J.Int (count s Detected)); ("masked", J.Int (count s Masked));
+      ("silent", J.Int (count s Silent));
+      ("unfinished", J.Int (count s Unfinished));
+      ("coverage", J.rounded 4 (coverage s));
+      ("results", J.List (List.map result s.results)) ]
+
 let summary_to_json summary =
-  let buf = Buffer.create 1024 in
-  let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  emit "{\n  \"design\": %S,\n  \"seed\": %d,\n  \"monitors\": %d,\n"
-    summary.design summary.seed summary.monitors;
-  emit "  \"baseline_cycles\": %d,\n" summary.baseline_cycles;
-  emit "  \"faults\": %d,\n  \"detected\": %d,\n  \"masked\": %d,\n"
-    (List.length summary.results)
-    (count summary Detected) (count summary Masked);
-  emit "  \"silent\": %d,\n  \"unfinished\": %d,\n  \"coverage\": %.4f,\n"
-    (count summary Silent) (count summary Unfinished) (coverage summary);
-  emit "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      emit
-        "    {\"fault\": %S, \"outcome\": %S, \"detail\": %s, \
-         \"err_flag\": %b, \"completed\": %b, \"cycles\": %d}%s\n"
-        r.description (outcome_name r.outcome)
-        (match r.detail with
-        | Some d -> Printf.sprintf "%S" d
-        | None -> "null")
-        r.err_flag r.completed r.cycles
-        (if i = List.length summary.results - 1 then "" else ","))
-    summary.results;
-  emit "  ]\n}\n";
-  Buffer.contents buf
+  Hwpat_obs.Json.to_string (json_of_summary summary) ^ "\n"
 
 (* FF/LUT/fmax cost of the generated protection hardware, through the
    same estimation pipeline as Table 3. *)

@@ -141,9 +141,11 @@ val find_design : string -> unit -> Circuit.t
 
 val render : summary -> string
 
+val json_of_summary : summary -> Hwpat_obs.Json.t
+
 val summary_to_json : summary -> string
-(** Machine-readable summary; byte-stable across reruns and job counts
-    (the parallel determinism tests compare these bytes). *)
+(** Machine-readable summary, one line; byte-stable across reruns and
+    job counts (the parallel determinism tests compare these bytes). *)
 
 val protection_overhead :
   ?board:Hwpat_synthesis.Board.t -> unit ->

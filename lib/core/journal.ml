@@ -15,10 +15,10 @@
    scheme instead; the journal is the one file that must survive
    being killed mid-write, which is exactly what append-only gives.)
 
-   Strings are escaped with OCaml's [%S] — a superset of JSON string
-   escaping for the printable-ASCII descriptions the campaigns emit —
-   and parsed back with [Scanf]'s [%S], so a record round-trips
-   byte-exactly without a JSON parser. *)
+   Each line is one [Json] object, read back with [Json.parse], so any
+   key or payload string round-trips byte-exactly and the older spaced
+   layout ([{"key": "...", "data": "..."}]) still loads.  Payloads are
+   opaque strings owned by each campaign's codec. *)
 
 type entry = { e_key : string; e_data : string }
 
@@ -34,20 +34,24 @@ type t = {
 
 exception Config_mismatch of { path : string; expected : string; found : string }
 
+module Json = Hwpat_obs.Json
+
 let header_line config =
-  Printf.sprintf "{\"hwpat_checkpoint\": 1, \"config\": %S}" config
+  Json.(to_string (Obj [ ("hwpat_checkpoint", Int 1); ("config", String config) ]))
 
 let parse_header line =
-  try Scanf.sscanf line "{\"hwpat_checkpoint\": 1, \"config\": %S}" (fun c -> Some c)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  match Json.parse line with
+  | Ok (Obj [ ("hwpat_checkpoint", Int 1); ("config", String c) ]) -> Some c
+  | _ -> None
 
-let entry_line ~key data = Printf.sprintf "{\"key\": %S, \"data\": %S}" key data
+let entry_line ~key data =
+  Json.(to_string (Obj [ ("key", String key); ("data", String data) ]))
 
 let parse_entry line =
-  try
-    Scanf.sscanf line "{\"key\": %S, \"data\": %S}" (fun k d ->
-        Some { e_key = k; e_data = d })
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  match Json.parse line with
+  | Ok (Obj [ ("key", String k); ("data", String d) ]) ->
+    Some { e_key = k; e_data = d }
+  | _ -> None
 
 (* Read every parseable record; stop at the first torn or foreign
    line (a crash can tear only the final one). *)

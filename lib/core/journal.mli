@@ -1,8 +1,9 @@
 (** Crash-safe checkpoint journal for resumable campaigns.
 
-    Line-oriented JSON on disk: a header line binding the file to one
-    campaign configuration (the [config] fingerprint — design, seed,
-    fault count, frame size, …), then one record per completed shard,
+    Line-oriented JSON on disk ({!Hwpat_obs.Json}, one object per
+    line): a header line binding the file to one campaign
+    configuration (the [config] fingerprint — design, seed, fault
+    count, frame size, …), then one record per completed shard,
     appended and flushed as each shard finishes.  Record keys are the
     campaigns' uid-independent shard descriptions
     ({!Hwpat_rtl.Fault.describe_event_in}, design-point labels,
@@ -40,9 +41,9 @@ val find : t -> string -> string option
     a previous (or the current) run. *)
 
 val record : t -> key:string -> string -> unit
-(** Append one completed-shard record and flush it to disk.  [data]
-    must not contain newlines (it is stored [%S]-escaped, so any
-    string is safe in practice).  Thread-safe. *)
+(** Append one completed-shard record and flush it to disk.  Key and
+    [data] are stored as JSON strings on one line, so any string is
+    safe (newlines included).  Thread-safe. *)
 
 val resumed : t -> int
 (** Number of distinct completed shards loaded from disk at {!start}

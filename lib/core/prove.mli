@@ -84,6 +84,9 @@ val run :
     totals ([prove.*]). *)
 
 val all_ok : result list -> bool
-val to_json : jobs:int -> smoke:bool -> result list -> string
+val to_json : jobs:int -> smoke:bool -> result list -> Hwpat_obs.Json.t
+(** The battery as one JSON object: counts, total seconds and one
+    member per obligation (seconds rounded to milliseconds). *)
+
 val summary : result list -> string
 (** One line per obligation plus a final proved/failed count. *)

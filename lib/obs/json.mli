@@ -1,13 +1,16 @@
-(** Minimal JSON: the value type, a strict parser and a deterministic
-    printer — just enough for the serve protocol, with zero
-    dependencies (the rest of the repo only ever {e emits} JSON by
-    hand; the daemon is the first consumer that must {e parse} it).
+(** The one JSON codec of hwpat: the value type, a strict parser and a
+    deterministic printer, with zero dependencies.  Every JSON document
+    the libraries and the CLI write — trace and metrics exports,
+    campaign summaries, checkpoint journals, serve replies — is built
+    as a {!t} and printed by {!to_string}, so string escaping and float
+    formatting exist in exactly one place.
 
     Determinism contract: {!to_string} is a pure function of the value
     — object members print in the order held in the [Obj] list, floats
-    print through one fixed format — so a response built from the same
+    print through one fixed format — so a document built from the same
     data serializes to the same bytes.  The cached-vs-fresh
-    byte-identity guarantee of the serve cache rests on this. *)
+    byte-identity guarantee of the serve cache and the jobs/lanes/resume
+    byte-identity of campaign summaries rest on this. *)
 
 type t =
   | Null
@@ -28,7 +31,19 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact rendering ([,] and [:] separators, no whitespace).
-    Non-finite floats render as [null]. *)
+    Strings escape the double quote, the backslash and every control
+    byte; other bytes pass through unchanged.  Floats print as
+    [%.12g] (with [.0] added to a bare integer); non-finite floats
+    render as [null]. *)
+
+val rounded : int -> float -> t
+(** [Float x] rounded to that many decimals, exactly as [%.*f] prints
+    it: for fields whose precision is part of an output format. *)
+
+val to_file : string -> t -> unit
+(** [to_file path v] writes [to_string v] and a newline to a temporary
+    file renamed over [path], so [path] only ever holds a complete
+    document. *)
 
 val member : string -> t -> t option
 (** Object member lookup; [None] on non-objects. *)

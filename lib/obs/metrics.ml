@@ -111,56 +111,37 @@ let counter_value t name =
 let sorted_keys tbl =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let trimmed_buckets h =
   let last = ref (-1) in
   Array.iteri (fun i n -> if n > 0 then last := i) h.h_buckets;
   Array.to_list (Array.sub h.h_buckets 0 (!last + 1))
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
-
-let to_json t =
+let rec doc t =
+  let members tbl f =
+    Json.Obj (List.map (fun k -> (k, f (Hashtbl.find tbl k))) (sorted_keys tbl))
+  in
   match t with
-  | Null -> "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n"
+  | Null -> doc (create ())
   | Active a ->
     locked a (fun () ->
-        let buf = Buffer.create 1024 in
-        let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-        let obj keys f =
-          List.iteri
-            (fun i k ->
-              if i > 0 then emit ",";
-              emit "\n    \"%s\": %s" (escape k) (f k))
-            keys
-        in
-        emit "{\n  \"counters\": {";
-        obj (sorted_keys a.counters) (fun k ->
-            string_of_int !(Hashtbl.find a.counters k));
-        emit "\n  },\n  \"gauges\": {";
-        obj (sorted_keys a.gauges) (fun k ->
-            json_float !(Hashtbl.find a.gauges k));
-        emit "\n  },\n  \"histograms\": {";
-        obj (sorted_keys a.hists) (fun k ->
-            let h = Hashtbl.find a.hists k in
-            Printf.sprintf "{\"count\": %d, \"sum\": %d, \"buckets\": [%s]}"
-              h.h_count h.h_sum
-              (String.concat ", "
-                 (List.map string_of_int (trimmed_buckets h))));
-        emit "\n  }\n}\n";
-        Buffer.contents buf)
+        Json.Obj
+          [
+            ("counters", members a.counters (fun r -> Json.Int !r));
+            ("gauges", members a.gauges (fun r -> Json.Float !r));
+            ( "histograms",
+              members a.hists (fun h ->
+                  Json.Obj
+                    [
+                      ("count", Json.Int h.h_count);
+                      ("sum", Json.Int h.h_sum);
+                      ( "buckets",
+                        Json.List
+                          (List.map (fun n -> Json.Int n) (trimmed_buckets h))
+                      );
+                    ]) );
+          ])
+
+let to_json t = Json.to_string (doc t) ^ "\n"
 
 let summary t =
   match t with
@@ -189,16 +170,4 @@ let summary t =
           (sorted_keys a.hists);
         Buffer.contents buf)
 
-(* Temp-file + rename, like Trace.write_file: the published path only
-   ever holds a complete JSON document. *)
-let write_file t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match output_string oc (to_json t) with
-  | () ->
-    close_out oc;
-    Sys.rename tmp path
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let write_file t path = Json.to_file path (doc t)

@@ -48,11 +48,11 @@ val counter_value : t -> string -> int
 val to_json : t -> string
 (** [{"counters": {...}, "gauges": {...}, "histograms": {name:
     {"count": n, "sum": s, "buckets": [...]}}}] with trailing zero
-    buckets trimmed.  Keys are emitted in sorted order so the output
-    is deterministic. *)
+    buckets trimmed, one line of compact {!Json} plus a newline.  Keys
+    are emitted in sorted order so the output is deterministic. *)
 
 val summary : t -> string
 (** Human-readable listing of every counter, gauge and histogram. *)
 
 val write_file : t -> string -> unit
-(** [to_json] to a file (closed on raise). *)
+(** [to_json] to a file, atomically ({!Json.to_file}). *)

@@ -118,36 +118,11 @@ let counter t name series =
 (* Export                                                           *)
 (* ---------------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
-
-let arg_json = function
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
-  | Bool b -> if b then "true" else "false"
-
-let args_json args =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_json v))
-       args)
+let json_of_arg = function
+  | Int i -> Json.Int i
+  | Float f -> Json.Float f
+  | String s -> Json.String s
+  | Bool b -> Json.Bool b
 
 let events_of = function
   | Null -> []
@@ -157,22 +132,21 @@ let events_of = function
     Mutex.unlock a.mutex;
     List.rev es
 
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"dur\":%.3f,\
-            \"pid\":1,\"tid\":%d%s,\"args\":{%s}}"
-           (escape e.e_name) e.e_ph e.e_ts e.e_dur e.e_tid
-           (if e.e_ph = 'i' then ",\"s\":\"t\"" else "")
-           (args_json e.e_args)))
-    (events_of t);
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+(* Timestamps and durations keep the microsecond-and-three-decimals
+   precision trace viewers expect. *)
+let event_json e =
+  let instant = if e.e_ph = 'i' then [ ("s", Json.String "t") ] else [] in
+  let args = List.map (fun (k, v) -> (k, json_of_arg v)) e.e_args in
+  Json.Obj
+    ([ ("name", Json.String e.e_name); ("ph", Json.String (String.make 1 e.e_ph));
+       ("ts", Json.rounded 3 e.e_ts); ("dur", Json.rounded 3 e.e_dur);
+       ("pid", Json.Int 1); ("tid", Json.Int e.e_tid) ]
+    @ instant @ [ ("args", Json.Obj args) ])
+
+let chrome_doc t =
+  Json.Obj [ ("traceEvents", Json.List (List.map event_json (events_of t))) ]
+
+let to_chrome_json t = Json.to_string (chrome_doc t) ^ "\n"
 
 let summary t =
   let agg = Hashtbl.create 16 in
@@ -209,17 +183,4 @@ let summary t =
     paths;
   Buffer.contents buf
 
-(* Temp-file + rename so a crash mid-flush never leaves a truncated
-   trace under the published name (same scheme as Hwpat_rtl.Util,
-   duplicated here to keep this library dependency-free). *)
-let write_file t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match output_string oc (to_chrome_json t) with
-  | () ->
-    close_out oc;
-    Sys.rename tmp path
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let write_file t path = Json.to_file path (chrome_doc t)

@@ -48,8 +48,9 @@ val counter : t -> string -> (string * float) list -> unit
     stacked chart by the trace viewer. *)
 
 val to_chrome_json : t -> string
-(** The whole trace as [{"traceEvents": [...]}].  For {!null} this is
-    an empty event list. *)
+(** The whole trace as [{"traceEvents": [...]}], one line of compact
+    {!Json} plus a newline.  For {!null} this is an empty event
+    list. *)
 
 val summary : t -> string
 (** Human-readable tree: spans aggregated by path (parent/child names
@@ -57,4 +58,4 @@ val summary : t -> string
     indented under parents. *)
 
 val write_file : t -> string -> unit
-(** [to_chrome_json] to a file (closed on raise). *)
+(** [to_chrome_json] to a file, atomically ({!Json.to_file}). *)

@@ -55,14 +55,6 @@ let with_result_cache t ~key ~params ?(cacheable = fun _ -> true) compute =
       if cacheable v then Cache.add t.results key v;
       v
 
-let reparse label text =
-  match Json.parse text with
-  | Ok v -> v
-  | Error e ->
-    raise
-      (Protocol.Error
-         (Internal, Printf.sprintf "%s produced invalid JSON: %s" label e))
-
 (* Request [jobs] param: in-request campaign sharding, defaulting to
    the server-wide setting. *)
 let request_jobs t params =
@@ -282,11 +274,10 @@ let faultsim t ctx params =
           ~faults ~frame_width:frame_size ~frame_height:frame_size ~build
           ~design ()
       in
-      let body = reparse "faultsim" (Faultsim.summary_to_json summary) in
       Json.Obj
         [
           ("key", Json.String key);
-          ("summary", body);
+          ("summary", Faultsim.json_of_summary summary);
           ("coverage", Json.Float (Faultsim.coverage summary));
           ("silent", Json.Int (Faultsim.count summary Faultsim.Silent));
           ( "unfinished",
@@ -334,8 +325,7 @@ let sweep t ctx params =
               (List.length
                  (Hwpat_synthesis.Design_space.unmeasurable candidates)) );
           ( "candidates",
-            reparse "sweep" (Hwpat_synthesis.Design_space.to_json candidates)
-          );
+            Hwpat_synthesis.Design_space.json_of_candidates candidates );
         ])
 
 (* --- prove --------------------------------------------------------------- *)
@@ -362,7 +352,7 @@ let prove t ctx params =
     [
       ("smoke", Json.Bool smoke);
       ("ok", Json.Bool (Prove.all_ok results));
-      ("battery", reparse "prove" (Prove.to_json ~jobs ~smoke results));
+      ("battery", Prove.to_json ~jobs ~smoke results);
     ]
 
 (* --- sleep: deterministic deadline target for the tests ------------------ *)
@@ -412,45 +402,16 @@ and batch t ctx params =
     | Some items -> items
     | None -> Protocol.invalid_params "missing requests"
   in
+  let error code msg = Json.Obj [ Protocol.error_member code msg ] in
   let run item =
     match Protocol.parse_request item with
-    | Error msg ->
-      Json.Obj
-        [
-          ( "error",
-            Json.Obj
-              [
-                ( "code",
-                  Json.String (Protocol.code_string Protocol.Invalid_request)
-                );
-                ("message", Json.String msg);
-              ] );
-        ]
+    | Error msg -> error Protocol.Invalid_request msg
     | Ok sub -> (
       match handle t ctx sub with
       | result -> Json.Obj [ ("result", result) ]
-      | exception Protocol.Error (code, msg) ->
-        Json.Obj
-          [
-            ( "error",
-              Json.Obj
-                [
-                  ("code", Json.String (Protocol.code_string code));
-                  ("message", Json.String msg);
-                ] );
-          ]
+      | exception Protocol.Error (code, msg) -> error code msg
       | exception (Failure msg | Invalid_argument msg) ->
-        Json.Obj
-          [
-            ( "error",
-              Json.Obj
-                [
-                  ( "code",
-                    Json.String (Protocol.code_string Protocol.Invalid_params)
-                  );
-                  ("message", Json.String msg);
-                ] );
-          ])
+        error Protocol.Invalid_params msg)
   in
   let results = List.map run items in
   Json.Obj

@@ -52,15 +52,11 @@ let parse_request json =
 let response_ok ~id result =
   Json.to_string (Json.Obj [ ("id", id); ("result", result) ])
 
+let error_member code message =
+  ( "error",
+    Json.Obj
+      [ ("code", Json.String (code_string code)); ("message", Json.String message) ]
+  )
+
 let response_error ~id code message =
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", id);
-         ( "error",
-           Json.Obj
-             [
-               ("code", Json.String (code_string code));
-               ("message", Json.String message);
-             ] );
-       ])
+  Json.to_string (Json.Obj [ ("id", id); error_member code message ])

@@ -35,6 +35,9 @@ val parse_request : Json.t -> (request, string) result
 (** Validate a parsed line into a request ([Error] text goes into an
     [invalid-request] response). *)
 
+val error_member : error_code -> string -> string * Json.t
+(** The ["error"] member of an error response. *)
+
 val response_ok : id:Json.t -> Json.t -> string
 (** Serialized success response line (no trailing newline). *)
 

@@ -57,8 +57,10 @@ val to_table : candidate list -> string
 (** Render candidates as an aligned text table; unmeasurable points
     show [timeout] in the cycles-per-access column. *)
 
+val json_of_candidates : candidate list -> Hwpat_obs.Json.t
+
 val to_json : candidate list -> string
 (** Machine-readable rendering (a JSON array, one object per
-    candidate, [null] access/power for unmeasurable points). Field
-    formatting is fixed so equal candidate lists render to identical
-    bytes — the sharded-sweep determinism tests compare these. *)
+    candidate, [null] access/power for unmeasurable points), one line,
+    so equal candidate lists render to identical bytes — the
+    sharded-sweep determinism tests compare these. *)

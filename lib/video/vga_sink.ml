@@ -8,12 +8,14 @@ type t = {
   ready_every : int;
   mutable tick : int;
   mutable captured : int list; (* newest first *)
+  mutable count : int; (* length of [captured] *)
 }
 
 let create ?(valid_port = "out_valid") ?(data_port = "out_data")
     ?(ready_port = "out_ready") ?(ready_every = 1) sim () =
   if ready_every < 1 then invalid_arg "Vga_sink.create: ready_every must be >= 1";
-  { sim; valid_port; data_port; ready_port; ready_every; tick = 0; captured = [] }
+  { sim; valid_port; data_port; ready_port; ready_every; tick = 0;
+    captured = []; count = 0 }
 
 let drive t =
   if t.ready_port <> "" then begin
@@ -23,18 +25,21 @@ let drive t =
   t.tick <- t.tick + 1
 
 let observe t =
-  if Bits.to_bool !(Cyclesim.out_port t.sim t.valid_port) then
+  if Bits.to_bool !(Cyclesim.out_port t.sim t.valid_port) then begin
     t.captured <-
-      Bits.to_int !(Cyclesim.out_port t.sim t.data_port) :: t.captured
+      Bits.to_int !(Cyclesim.out_port t.sim t.data_port) :: t.captured;
+    t.count <- t.count + 1
+  end
 
 let collected t = List.rev t.captured
-let count t = List.length t.captured
+let count t = t.count
 
 let to_frame t ~width ~height ~depth =
   Frame.of_row_major ~width ~height ~depth (collected t)
 
 let clear t =
   t.captured <- [];
+  t.count <- 0;
   t.tick <- 0
 
 (* Plane-level variant over a whole batch: one valid-plane read per

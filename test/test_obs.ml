@@ -12,108 +12,20 @@ let contains needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* A tiny JSON syntax checker — enough grammar to vet what the
-   exporters emit (objects, arrays, strings with escapes, numbers,
-   true/false/null).  [valid] iff the whole input is one JSON value. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let fail = ref false in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos else fail := true
-  in
-  let string_lit () =
-    expect '"';
-    let fin = ref false in
-    while (not !fin) && (not !fail) && !pos < n do
-      match s.[!pos] with
-      | '"' -> incr pos; fin := true
-      | '\\' ->
-        incr pos;
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> incr pos
-        | Some 'u' ->
-          incr pos;
-          for _ = 1 to 4 do
-            (match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> incr pos
-            | _ -> fail := true)
-          done
-        | _ -> fail := true)
-      | c when Char.code c < 0x20 -> fail := true
-      | _ -> incr pos
-    done;
-    if not !fin then fail := true
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while
-      !pos < n
-      && (match s.[!pos] with '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail := true
-  in
-  let literal word =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then pos := !pos + l
-    else fail := true
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then incr pos
-      else begin
-        let more = ref true in
-        while !more && not !fail do
-          skip_ws ();
-          string_lit ();
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos
-          | Some '}' -> incr pos; more := false
-          | _ -> fail := true
-        done
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then incr pos
-      else begin
-        let more = ref true in
-        while !more && not !fail do
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos
-          | Some ']' -> incr pos; more := false
-          | _ -> fail := true
-        done
-      end
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | _ -> number ());
-    skip_ws ()
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+(* Exporter output goes back through the strict parser: a document
+   that does not parse fails the test with the parser's message. *)
+let parse what text =
+  match Json.parse text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s is not JSON: %s" what e
+
+(* [at doc ["a"; "b"]] is member [b] of member [a]. *)
+let at doc keys =
+  List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some doc) keys
+
+let check_json msg expected actual =
+  Alcotest.(check (option string)) msg (Some (Json.to_string expected))
+    (Option.map Json.to_string actual)
 
 (* --- Trace ---------------------------------------------------------------- *)
 
@@ -174,9 +86,8 @@ let test_null_trace () =
   check_bool "body ran" true !ran;
   Trace.instant Trace.null "nothing";
   Trace.annotate Trace.null "k" (Trace.Bool true);
-  let json = Trace.to_chrome_json Trace.null in
-  check_bool "null json valid" true (json_valid json);
-  check_bool "null json has no events" false (contains "\"name\"" json)
+  check_json "null trace has no events" (Json.List [])
+    (at (parse "null trace" (Trace.to_chrome_json Trace.null)) [ "traceEvents" ])
 
 let test_trace_json_well_formed () =
   let t = Trace.create () in
@@ -193,7 +104,7 @@ let test_trace_json_well_formed () =
       ]
     (fun () -> ());
   let json = Trace.to_chrome_json t in
-  check_bool "chrome json parses" true (json_valid json);
+  ignore (parse "chrome trace" json);
   check_bool "complete events" true (contains "\"ph\":\"X\"" json);
   check_bool "instant event" true (contains "\"ph\":\"i\"" json);
   check_bool "counter event" true (contains "\"ph\":\"C\"" json);
@@ -243,11 +154,12 @@ let test_bucket_boundaries () =
   Metrics.observe m "h" 0;
   Metrics.observe m "h" (-5);
   Metrics.observe m "h" 3;
-  let json = Metrics.to_json m in
-  check_bool "metrics json parses" true (json_valid json);
-  check_bool "count 3" true (contains "\"count\": 3" json);
-  check_bool "sum -2" true (contains "\"sum\": -2" json);
-  check_bool "buckets [2, 0, 1" true (contains "[2, 0, 1" json)
+  let h k = at (parse "metrics" (Metrics.to_json m)) [ "histograms"; "h"; k ] in
+  check_json "count 3" (Json.Int 3) (h "count");
+  check_json "sum -2" (Json.Int (-2)) (h "sum");
+  check_json "buckets [2, 0, 1]"
+    (Json.List [ Json.Int 2; Json.Int 0; Json.Int 1 ])
+    (h "buckets")
 
 (* Satellite regression: the SAT solver pre-aggregates its
    learned-clause size histogram and hands it to [add_histogram], so
@@ -294,12 +206,12 @@ let test_histogram_merge () =
   let pre = Array.make 16 0 in
   pre.(Metrics.bucket_of 3) <- 2;
   Metrics.add_histogram m "h" ~count:2 ~sum:6 pre;
-  let json = Metrics.to_json m in
-  check_bool "metrics json parses" true (json_valid json);
-  check_bool "merged count" true (contains "\"count\": 4" json);
-  check_bool "merged sum" true (contains "\"sum\": 109" json);
+  let h k = at (parse "metrics" (Metrics.to_json m)) [ "histograms"; "h"; k ] in
+  check_json "merged count" (Json.Int 4) (h "count");
+  check_json "merged sum" (Json.Int 109) (h "sum");
   (* Bucket 2 holds the direct 3 plus the two merged 3s. *)
-  check_bool "bucket 2 = 3 observations" true (contains "[0, 0, 3" json)
+  check_json "bucket 2 = 3 observations" (Json.Int 3)
+    (match h "buckets" with Some (Json.List l) -> List.nth_opt l 2 | _ -> None)
 
 let test_metrics_json_deterministic () =
   let build order =
@@ -311,8 +223,54 @@ let test_metrics_json_deterministic () =
   check_string "sorted keys, insertion order irrelevant"
     (build [ "b"; "a"; "c" ])
     (build [ "c"; "a"; "b" ]);
-  check_bool "null metrics json parses" true
-    (json_valid (Metrics.to_json Metrics.null))
+  check_json "null metrics has empty counters" (Json.Obj [])
+    (at (parse "null metrics" (Metrics.to_json Metrics.null)) [ "counters" ])
+
+(* --- One codec ------------------------------------------------------------- *)
+
+(* A quote, a backslash, a control byte and a UTF-8 "é": every emitter
+   must print a document the strict parser accepts and that gives the
+   string back unchanged. *)
+let test_hostile_strings () =
+  let hostile = "q\"b\\c\001e\xc3\xa9" in
+  let first_member what text path key =
+    match at (parse what text) path with
+    | Some (Json.List (x :: _)) ->
+      check_json what (Json.String hostile) (Json.member key x)
+    | _ -> Alcotest.failf "%s: no list at the expected path" what
+  in
+  let t = Trace.create () in
+  Trace.span t hostile ignore;
+  first_member "span name" (Trace.to_chrome_json t) [ "traceEvents" ] "name";
+  let m = Metrics.create () in
+  Metrics.incr m hostile;
+  check_json "metric key" (Json.Int 1)
+    (at (parse "metrics" (Metrics.to_json m)) [ "counters"; hostile ]);
+  let open Hwpat_core in
+  let fault =
+    { Faultsim.description = "f"; outcome = Faultsim.Detected;
+      detail = Some hostile; err_flag = false; completed = true; cycles = 1 }
+  in
+  first_member "fault detail"
+    (Faultsim.summary_to_json
+       { design = "d"; seed = 1; monitors = 0; baseline_cycles = 1;
+         results = [ fault ] })
+    [ "results" ] "detail";
+  let proof =
+    { Prove.name = "n"; kind = "monitor"; ok = true; unknown = false;
+      status = hostile; seconds = 0.5 }
+  in
+  first_member "prove status"
+    (Json.to_string (Prove.to_json ~jobs:1 ~smoke:true [ proof ]))
+    [ "results" ] "status";
+  let candidate =
+    { Hwpat_synthesis.Design_space.label = hostile; container = "queue";
+      target = "fifo"; elem_width = 8; depth = 16; luts = 1; ffs = 1;
+      brams = 0; access_cycles = 1.0; fmax_mhz = 100.0; power_mw = 1.0;
+      measured = true }
+  in
+  first_member "design-space label"
+    (Hwpat_synthesis.Design_space.to_json [ candidate ]) [] "label"
 
 let () =
   Alcotest.run "obs"
@@ -339,5 +297,10 @@ let () =
           Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
           Alcotest.test_case "json deterministic and valid" `Quick
             test_metrics_json_deterministic;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "hostile strings round-trip every emitter" `Quick
+            test_hostile_strings;
         ] );
     ]

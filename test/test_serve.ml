@@ -491,6 +491,59 @@ let test_faultsim_request_cached () =
   let r2 = rpc c req in
   check_string "campaign summary served from cache, same bytes" r1 r2
 
+(* Seeded mutations of well-formed request lines (byte replacements
+   and truncations).  Every line gets exactly one reply — a result or
+   a protocol error code other than [internal] — and the probe ping
+   sent right behind it gets the next one, so a lost or doubled reply
+   fails (a receive timeout rather than a hang). *)
+let test_mutated_requests () =
+  with_server @@ fun server ->
+  with_conn server @@ fun c ->
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 30.0;
+  let seeds =
+    [|
+      {|{"id":1,"method":"ping"}|};
+      {|{"id":2,"method":"elaborate","params":{"container":"queue","target":"bram","width":8,"depth":64}}|};
+      {|{"id":3,"method":"simulate","params":{"design":"blur","width":6,"height":6}}|};
+      {|{"id":4,"method":"batch","params":{"requests":[{"method":"ping"},{"method":"codegen","params":{"container":"stack"}}]}}|};
+      {|{"id":[5,{"k":"\u00e9\"\\"}],"method":"ping","params":{}}|};
+    |]
+  in
+  let codes =
+    List.map Protocol.code_string
+      Protocol.[ Parse_error; Invalid_request; Unknown_method; Invalid_params;
+                 Overloaded; Deadline; Oversized; Shutting_down ]
+  in
+  let rng = Random.State.make [| 2005 |] in
+  let mutate s =
+    let i = Random.State.int rng (String.length s) in
+    let byte _ = Char.chr (Random.State.int rng 256) in
+    if Random.State.bool rng then String.sub s 0 (max 1 i)
+    else String.mapi (fun j ch -> if j = i then byte () else ch) s
+  in
+  for i = 1 to 200 do
+    let line = ref seeds.(Random.State.int rng (Array.length seeds)) in
+    for _ = 0 to Random.State.int rng 2 do line := mutate !line done;
+    (* One line per request: a newline would frame a second one. *)
+    let line = String.map (fun ch -> if ch = '\n' then ' ' else ch) !line in
+    let probe = Json.String (Printf.sprintf "probe-%d" i) in
+    send c line;
+    send c
+      (Json.to_string (Json.Obj [ ("id", probe); ("method", Json.String "ping") ]));
+    let reply = recv c in
+    let next = recv c in
+    let what = Printf.sprintf "reply to %S" line in
+    (match Json.parse reply with
+    | Ok doc
+      when Json.member "result" doc <> None || List.mem (error_code reply) codes
+      -> ()
+    | _ -> Alcotest.failf "%s: neither a result nor a protocol error" what);
+    match Json.parse next with
+    | Ok doc when Json.member "id" doc = Some probe -> ()
+    | _ -> Alcotest.failf "%s: the probe was not answered next" what
+  done;
+  check_bool "ping still answers" true (is_ok (rpc c {|{"id":0,"method":"ping"}|}))
+
 let test_unix_socket_listener () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -616,6 +669,8 @@ let () =
             test_batch_request;
           Alcotest.test_case "faultsim campaign cached" `Quick
             test_faultsim_request_cached;
+          Alcotest.test_case "mutated request lines answered once" `Quick
+            test_mutated_requests;
           Alcotest.test_case "unix socket listener" `Quick
             test_unix_socket_listener;
           Alcotest.test_case "dead client harmless" `Quick

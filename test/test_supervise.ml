@@ -152,6 +152,13 @@ let with_temp_path f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n' |> List.filter (( <> ) "")
+
 let encode = string_of_int
 let decode _ data = int_of_string_opt data
 
@@ -171,17 +178,7 @@ let test_resume_equals_uninterrupted () =
      rebuilding a journal holding only shards 0-4, with the final line
      torn mid-record as a SIGKILL would leave it. *)
   with_temp_path @@ fun partial_path ->
-  let lines =
-    let ic = open_in path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let acc = ref [] in
-    (try
-       while true do
-         acc := input_line ic :: !acc
-       done
-     with End_of_file -> ());
-    List.rev !acc
-  in
+  let lines = read_lines path in
   check_int "journal = header + one line per shard" (n + 1)
     (List.length lines);
   let oc = open_out partial_path in
@@ -208,6 +205,94 @@ let test_resume_equals_uninterrupted () =
   Alcotest.(check (list int))
     "only the unjournaled shards re-ran" [ 5; 6; 7; 8; 9 ]
     (List.sort compare !ran)
+
+(* A small real campaign for the journal-format tests: six faults on
+   the protected design, 4x4 frames, one job. *)
+let design = "saa2vga_sram_protected"
+
+let campaign ?metrics ?plan ?checkpoint ?resume () =
+  Faultsim.run_campaign ?metrics ?plan ?checkpoint ?resume ~jobs:1 ~seed:16
+    ~faults:6 ~frame_width:4 ~frame_height:4
+    ~build:(Faultsim.find_design design) ~design ()
+
+(* The journal of [campaign ~checkpoint ()] as the previous writer
+   printed it: spaced members, OCaml-escaped strings.  Plus a torn
+   tail, as a kill mid-write leaves it. *)
+let spaced_journal =
+  {|{"hwpat_checkpoint": 1, "config": "faultsim design=saa2vga_sram_protected seed=16 faults=6 frame=4x4"}
+{"key": "0:@73 stuck out_sram_state = 00 for 16 cycles", "data": "masked false true 190 \"\""}
+{"key": "3:@43 stuck rbuffer_count = 1111111111 for 5 cycles", "data": "detected false true 170 \"cycle 43: [rbuffer] count: occupancy stepped 0 -> 1023 in one cycle\""}
+{"key": "4:@66 seu reg in_sram_waits bit 0", "data": "masked false true 170 \"\""}
+{"key": "1:@139 stuck in_sram_wd_try = 0 for 24 cycles", "data": "masked false true 170 \"\""}
+{"key": "5:@24 stuck wbuffer_state = 00 for 12 cycles", "data": "detected false true 185 \"cycle 24: [out_sram] ack: ack asserted with no request pending\""}
+{"key": "2:@109 stuck copy_state = 00 for 31 cycles", "data": "silent false false 744 \"\""}
+{"key": "6:@1|}
+
+(* A journal in the older spaced layout replays every record, and the
+   resumed summary is byte-identical to an uninterrupted run's.  Then
+   seeded truncations and byte flips of it: each resume either raises
+   what journal.mli documents (Config_mismatch for a changed header
+   config, Failure for a header that is not one) or loads every record
+   that lies wholly before the damage. *)
+let test_spaced_and_damaged_journals () =
+  with_temp_path @@ fun path ->
+  write_file path spaced_journal;
+  let metrics = Hwpat_obs.Metrics.create () in
+  let resumed = campaign ~metrics ~checkpoint:path ~resume:true () in
+  check_int "every record replayed" 6
+    (Hwpat_obs.Metrics.counter_value metrics "supervise.skipped");
+  check_string "summary byte-identical"
+    (Faultsim.summary_to_json (campaign ()))
+    (Faultsim.summary_to_json resumed);
+  let field k line =
+    match Hwpat_obs.Json.parse line with
+    | Ok v -> Hwpat_obs.Json.get_string v k ~default:""
+    | Error e -> Alcotest.fail e
+  in
+  let header = List.hd (String.split_on_char '\n' spaced_journal) in
+  (* (offset just past the record's newline, key, data); the torn tail
+     has no newline and is not a record *)
+  let records =
+    List.filteri (fun i _ -> i > 0) (String.split_on_char '\n' spaced_journal)
+    |> List.fold_left
+         (fun (acc, off) l ->
+           let stop = off + String.length l + 1 in
+           if stop > String.length spaced_journal then (acc, stop)
+           else ((stop, field "key" l, field "data" l) :: acc, stop))
+         ([], String.length header + 1)
+    |> fst
+  in
+  let plan = Hwpat_rtl.Cyclesim.plan (Faultsim.find_design design ()) in
+  let rng = Random.State.make [| 16 |] in
+  for i = 1 to 120 do
+    let at = Random.State.int rng (String.length spaced_journal) in
+    let flip j ch =
+      if j <> at then ch
+      else Char.chr (Char.code ch lxor (1 + Random.State.int rng 255))
+    in
+    let mutated =
+      if i mod 2 = 0 then String.sub spaced_journal 0 at
+      else String.mapi flip spaced_journal
+    in
+    let what = Printf.sprintf "mutation %d at byte %d" i at in
+    write_file path mutated;
+    (match Journal.start ~path ~config:(field "config" header) ~resume:true with
+    | j ->
+      Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
+      List.iter
+        (fun (stop, key, data) ->
+          if stop <= at then
+            Alcotest.(check (option string)) what (Some data) (Journal.find j key))
+        records
+    | exception (Journal.Config_mismatch _ | Failure _) -> ()
+    | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e));
+    (* The campaign itself resumes from whatever survived. *)
+    write_file path mutated;
+    match campaign ~plan ~checkpoint:path ~resume:true () with
+    | _ | (exception (Journal.Config_mismatch _ | Failure _)) -> ()
+    | exception e ->
+      Alcotest.failf "%s: campaign raised %s" what (Printexc.to_string e)
+  done
 
 (* A journal written under one campaign configuration refuses to
    resume another. *)
@@ -294,6 +379,8 @@ let () =
         [
           Alcotest.test_case "torn-journal resume equals uninterrupted" `Quick
             test_resume_equals_uninterrupted;
+          Alcotest.test_case "spaced and damaged journals resume" `Quick
+            test_spaced_and_damaged_journals;
           Alcotest.test_case "config mismatch rejected" `Quick
             test_config_mismatch;
           Alcotest.test_case "fresh start overwrites" `Quick
