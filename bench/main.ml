@@ -6,6 +6,12 @@
 
 open Hwpat_core
 open Hwpat_video
+module Json = Hwpat_obs.Json
+
+(* Every BENCH_*.json goes through the one codec. *)
+let write_bench_json path fields =
+  Json.to_file path (Json.Obj fields);
+  Printf.printf "\n  wrote %s\n" path
 
 let banner title =
   let bar = String.make 72 '=' in
@@ -465,33 +471,26 @@ let sim_throughput ?(smoke = false) () =
         (sb_rate r) (sb_rate c)
         (List.assoc d speedups))
     design_names;
-  (* Machine-readable record. *)
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"simthroughput\",\n  \"smoke\": %b,\n"
-      smoke;
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i b ->
-        emit
-          "    {\"design\": %S, \"engine\": %S, \"cycles\": %d, \"seconds\": \
-           %.6f, \"cycles_per_sec\": %.1f}%s\n"
-          b.sb_design b.sb_engine b.sb_cycles b.sb_seconds (sb_rate b)
-          (if i = List.length entries - 1 then "" else ","))
-      entries;
-    emit "  ],\n  \"speedup_compiled_over_reference\": {\n";
-    List.iteri
-      (fun i (d, s) ->
-        emit "    %S: %.2f%s\n" d s
-          (if i = List.length speedups - 1 then "" else ","))
-      speedups;
-    emit "  }\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_sim.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench_json "BENCH_sim.json"
+    [
+      ("bench", Json.String "simthroughput");
+      ("smoke", Json.Bool smoke);
+      ( "entries",
+        Json.List
+          (List.map
+             (fun b ->
+               Json.Obj
+                 [
+                   ("design", Json.String b.sb_design);
+                   ("engine", Json.String b.sb_engine);
+                   ("cycles", Json.Int b.sb_cycles);
+                   ("seconds", Json.rounded 6 b.sb_seconds);
+                   ("cycles_per_sec", Json.rounded 1 (sb_rate b));
+                 ])
+             entries) );
+      ( "speedup_compiled_over_reference",
+        Json.Obj (List.map (fun (d, x) -> (d, Json.rounded 2 x)) speedups) );
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* §parscaling: domain-sharded campaigns and sweeps, jobs vs          *)
@@ -625,29 +624,27 @@ let parscaling ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
       Printf.printf "\n  speedup gate passed: all jobs:4 rows beat serial\n"
     end
   end;
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"parscaling\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"recommended_domains\": %d,\n"
-      (Domain.recommended_domain_count ());
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i e ->
-        emit
-          "    {\"workload\": %S, \"jobs\": %d, \"effective_jobs\": %d, \
-           \"oversubscribed\": %b, \"seconds\": %.6f, \
-           \"speedup_vs_jobs1\": %.2f, \"identical_to_serial\": %b}%s\n"
-          e.pb_workload e.pb_jobs e.pb_effective e.pb_oversubscribed
-          e.pb_seconds (speedup e) e.pb_identical
-          (if i = List.length entries - 1 then "" else ","))
-      entries;
-    emit "  ]\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_par.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench_json "BENCH_par.json"
+    [
+      ("bench", Json.String "parscaling");
+      ("smoke", Json.Bool smoke);
+      ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+      ( "entries",
+        Json.List
+          (List.map
+             (fun e ->
+               Json.Obj
+                 [
+                   ("workload", Json.String e.pb_workload);
+                   ("jobs", Json.Int e.pb_jobs);
+                   ("effective_jobs", Json.Int e.pb_effective);
+                   ("oversubscribed", Json.Bool e.pb_oversubscribed);
+                   ("seconds", Json.rounded 6 e.pb_seconds);
+                   ("speedup_vs_jobs1", Json.rounded 2 (speedup e));
+                   ("identical_to_serial", Json.Bool e.pb_identical);
+                 ])
+             entries) );
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* §batchsim: the bit-parallel batched engine — fault-campaign        *)
@@ -744,29 +741,28 @@ let batchsim ?(smoke = false) ?(gate = false) () =
       Printf.printf "\n  speedup gate passed: 64 lanes is %.2fx vs scalar\n"
         (speedup r64)
     end;
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"batchsim\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"design\": \"saa2vga_sram_pattern\",\n";
-    emit "  \"faults\": %d,\n  \"frame\": \"%dx%d\",\n" faults fw fw;
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i r ->
-        emit
-          "    {\"label\": %S, \"lanes\": %s, \"seconds\": %.6f, \
-           \"speedup_vs_scalar\": %.2f, \"identical_to_scalar\": %b}%s\n"
-          r.bb_label
-          (match r.bb_lanes with None -> "null" | Some l -> string_of_int l)
-          r.bb_seconds (speedup r) r.bb_identical
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    emit "  ]\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_batch.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench_json "BENCH_batch.json"
+    [
+      ("bench", Json.String "batchsim");
+      ("smoke", Json.Bool smoke);
+      ("design", Json.String "saa2vga_sram_pattern");
+      ("faults", Json.Int faults);
+      ("frame", Json.String (Printf.sprintf "%dx%d" fw fw));
+      ( "entries",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("label", Json.String r.bb_label);
+                   ( "lanes",
+                     match r.bb_lanes with None -> Json.Null | Some l -> Json.Int l );
+                   ("seconds", Json.rounded 6 r.bb_seconds);
+                   ("speedup_vs_scalar", Json.rounded 2 (speedup r));
+                   ("identical_to_scalar", Json.Bool r.bb_identical);
+                 ])
+             rows) );
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* §prove: the formal proof battery — monitor BMC on the paper        *)
@@ -781,77 +777,41 @@ let prove_section ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
   let results = Prove.run ~jobs ~smoke () in
   print_string (Prove.summary results);
   let path = "BENCH_prove.json" in
-  Hwpat_obs.Json.to_file path (Prove.to_json ~jobs ~smoke results);
+  Json.to_file path (Prove.to_json ~jobs ~smoke results);
   Printf.printf "\n  wrote %s\n" path;
   if not (Prove.all_ok results) then exit 1;
   if gate then begin
-    (* Two checks on the battery's historically worst obligation — the
-       blur equivalence, 37.7 s of the 76.2 s committed full-battery
-       baseline before the structural-hashing rework:
-
-       1. Deterministic: the strash engine must spend under half the
-          solver propagations of the legacy per-occurrence blast
-          encoding on the same miter.  Operation counts replay
-          identically on every machine, so this cannot flake and
-          needs no skip.
-
-       2. Wall clock: the strashed proof must land at least 2x under
-          the baseline row recorded in the committed BENCH_prove.json.
-          A recorded number is only comparable on a machine of the
-          same speed class, so the gate first calibrates with the
-          blast run: if even that takes longer than the recorded row,
-          the machine is too slow/narrow to judge and the gate
-          reports itself skipped. *)
+    (* Wall clock on the battery's historically worst obligation, the
+       blur equivalence: 37.7 s of the 76.2 s committed full-battery
+       baseline before the structural-hashing rework.  The proof must
+       land at least 2x under that row.  Its deterministic twin, the
+       frozen solver-propagation threshold, is a test_formal case and
+       runs on every [dune runtest]. *)
     let baseline_blur_s = 37.666 in
     let c =
       Blur_system.build ~image_width:8 ~max_rows:8 ~style:Blur_system.Pattern
         ()
     in
     let o = Hwpat_rtl.Optimize.circuit c in
-    let run strash =
-      let m = Hwpat_obs.Metrics.create () in
-      let t0 = Unix.gettimeofday () in
-      (match Hwpat_formal.Equiv.check ~metrics:m ~strash c o with
-      | Hwpat_formal.Equiv.Proved -> ()
-      | Hwpat_formal.Equiv.Counterexample _ | Hwpat_formal.Equiv.Unknown _ ->
-        Printf.printf "prove gate: blur equivalence not proved\n";
-        exit 1);
-      ( Unix.gettimeofday () -. t0,
-        Hwpat_obs.Metrics.counter_value m "solver.propagations" )
-    in
-    let strash_s, strash_props = run true in
-    let blast_s, blast_props = run false in
-    let ratio = float_of_int blast_props /. float_of_int (max 1 strash_props) in
-    if ratio < 2.0 then begin
-      Printf.printf
-        "prove gate: strash spends %d solver propagations vs %d for blast \
-         (%.2fx, need >= 2.0)\n"
-        strash_props blast_props ratio;
-      exit 1
-    end;
-    Printf.printf
-      "\n  encoding gate passed: strash needs %.1fx fewer solver \
-       propagations than blast (%d vs %d)\n"
-      ratio strash_props blast_props;
-    if blast_s > baseline_blur_s then
-      Printf.printf
-        "  speedup gate skipped: even the legacy blast proof took %.1f s \
-         here (recorded baseline row %.1f s) — machine too slow to compare \
-         wall clocks\n"
-        blast_s baseline_blur_s
-    else if strash_s > baseline_blur_s /. 2.0 then begin
+    let t0 = Unix.gettimeofday () in
+    (match Hwpat_formal.Equiv.check c o with
+    | Hwpat_formal.Equiv.Proved -> ()
+    | Hwpat_formal.Equiv.Counterexample _ | Hwpat_formal.Equiv.Unknown _ ->
+      Printf.printf "prove gate: blur equivalence not proved\n";
+      exit 1);
+    let blur_s = Unix.gettimeofday () -. t0 in
+    if blur_s > baseline_blur_s /. 2.0 then begin
       Printf.printf
         "prove gate: blur equivalence took %.2f s vs the %.1f s committed \
          baseline row (need >= 2x)\n"
-        strash_s baseline_blur_s;
+        blur_s baseline_blur_s;
       exit 1
-    end
-    else
-      Printf.printf
-        "  speedup gate passed: blur equivalence %.2f s vs %.1f s committed \
-         baseline row (%.1fx)\n"
-        strash_s baseline_blur_s
-        (baseline_blur_s /. max 1e-9 strash_s)
+    end;
+    Printf.printf
+      "  speedup gate passed: blur equivalence %.2f s vs %.1f s committed \
+       baseline row (%.1fx)\n"
+      blur_s baseline_blur_s
+      (baseline_blur_s /. max 1e-9 blur_s)
   end
 
 (* ---------------------------------------------------------------- *)
@@ -929,27 +889,29 @@ let obsoverhead ?(smoke = false) () =
   Printf.printf "  fully-enabled overhead %+.2f%% vs disabled (budget %.0f%%): %s\n"
     worst budget_pct
     (if ok then "PASS" else "FAIL");
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"obsoverhead\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"blur %dx%d\",\n  \"cycles\": %d,\n  \"reps\": %d,\n"
-      side side !cycles reps;
-    emit "  \"configs\": [\n";
-    List.iteri
-      (fun i (name, seconds) ->
-        emit
-          "    {\"config\": %S, \"min_seconds\": %.6f, \"overhead_pct\": %.3f}%s\n"
-          name seconds
-          (if name = "disabled" then 0.0 else overhead_pct name)
-          (if i = List.length timed - 1 then "" else ","))
-      timed;
-    emit "  ],\n  \"budget_pct\": %.1f,\n  \"ok\": %b\n}\n" budget_pct ok;
-    Buffer.contents buf
-  in
-  let path = "BENCH_obs.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path;
+  write_bench_json "BENCH_obs.json"
+    [
+      ("bench", Json.String "obsoverhead");
+      ("smoke", Json.Bool smoke);
+      ("workload", Json.String (Printf.sprintf "blur %dx%d" side side));
+      ("cycles", Json.Int !cycles);
+      ("reps", Json.Int reps);
+      ( "configs",
+        Json.List
+          (List.map
+             (fun (name, seconds) ->
+               Json.Obj
+                 [
+                   ("config", Json.String name);
+                   ("min_seconds", Json.rounded 6 seconds);
+                   ( "overhead_pct",
+                     Json.rounded 3
+                       (if name = "disabled" then 0.0 else overhead_pct name) );
+                 ])
+             timed) );
+      ("budget_pct", Json.rounded 1 budget_pct);
+      ("ok", Json.Bool ok);
+    ];
   if not ok then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -1058,27 +1020,22 @@ let resilience ?(smoke = false) () =
     (List.length lines)
     (if identical then "byte-identical summary" else "SUMMARY DIVERGED");
   let ok = overhead_ok && identical in
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"resilience\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"faultsim %s %d faults %dx%d\",\n" design faults fw
-      fw;
-    emit "  \"reps\": %d,\n" reps;
-    emit "  \"plain_min_seconds\": %.6f,\n" !t_plain;
-    emit "  \"checkpoint_min_seconds\": %.6f,\n" !t_journal;
-    emit "  \"paired_overhead_pcts\": [%s],\n"
-      (String.concat ", "
-         (Array.to_list (Array.map (Printf.sprintf "%.3f") pair_pct)));
-    emit "  \"checkpoint_overhead_pct\": %.3f,\n" overhead_pct;
-    emit "  \"budget_pct\": %.1f,\n" budget_pct;
-    emit "  \"resume_identical\": %b,\n" identical;
-    emit "  \"ok\": %b\n}\n" ok;
-    Buffer.contents buf
-  in
-  let path = "BENCH_resil.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path;
+  write_bench_json "BENCH_resil.json"
+    [
+      ("bench", Json.String "resilience");
+      ("smoke", Json.Bool smoke);
+      ( "workload",
+        Json.String (Printf.sprintf "faultsim %s %d faults %dx%d" design faults fw fw) );
+      ("reps", Json.Int reps);
+      ("plain_min_seconds", Json.rounded 6 !t_plain);
+      ("checkpoint_min_seconds", Json.rounded 6 !t_journal);
+      ( "paired_overhead_pcts",
+        Json.List (Array.to_list (Array.map (Json.rounded 3) pair_pct)) );
+      ("checkpoint_overhead_pct", Json.rounded 3 overhead_pct);
+      ("budget_pct", Json.rounded 1 budget_pct);
+      ("resume_identical", Json.Bool identical);
+      ("ok", Json.Bool ok);
+    ];
   if not ok then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -1232,26 +1189,23 @@ let serve_section ?(smoke = false) ?(gate = false) () =
     else
       Printf.printf "\n  speedup gate passed: warm cache is %.1fx vs cold\n"
         speedup;
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"serve\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"elaborate queue/bram d=4096 + simulate blur %dx%d\",\n"
-      side side;
-    emit "  \"cold_seconds\": %.6f,\n" cold_s;
-    emit "  \"warm_min_seconds\": %.6f,\n" warm_s;
-    emit "  \"warm_reps\": %d,\n" warm_reps;
-    emit "  \"warm_speedup\": %.2f,\n" speedup;
-    emit "  \"warm_identical\": %b,\n" warm_identical;
-    emit "  \"stream_requests\": %d,\n" stream_n;
-    emit "  \"stream_jobs\": 4,\n";
-    emit "  \"stream_seconds\": %.6f,\n" stream_s;
-    emit "  \"requests_per_sec\": %.1f\n}\n" req_per_s;
-    Buffer.contents buf
-  in
-  let path = "BENCH_serve.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench_json "BENCH_serve.json"
+    [
+      ("bench", Json.String "serve");
+      ("smoke", Json.Bool smoke);
+      ( "workload",
+        Json.String
+          (Printf.sprintf "elaborate queue/bram d=4096 + simulate blur %dx%d" side side) );
+      ("cold_seconds", Json.rounded 6 cold_s);
+      ("warm_min_seconds", Json.rounded 6 warm_s);
+      ("warm_reps", Json.Int warm_reps);
+      ("warm_speedup", Json.rounded 2 speedup);
+      ("warm_identical", Json.Bool warm_identical);
+      ("stream_requests", Json.Int stream_n);
+      ("stream_jobs", Json.Int 4);
+      ("stream_seconds", Json.rounded 6 stream_s);
+      ("requests_per_sec", Json.rounded 1 req_per_s);
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel wall-clock benches: one per table.                        *)

@@ -131,8 +131,8 @@ let confirm_on_sim extended ~bad_name ~at trace =
          bad_name)
 
 let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
-    ?(budget = Solver.no_budget) ?interrupt ?(depth = 20) ?(strash = true)
-    ?solver_config circuit properties =
+    ?(budget = Solver.no_budget) ?interrupt ?(depth = 20) ?solver_config
+    circuit properties =
   List.iter
     (fun p ->
       if Signal.width p.bad <> 1 then
@@ -146,9 +146,9 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
         (Circuit.outputs circuit
         @ List.map (fun p -> (bad_output_name p, p.bad)) properties)
     in
-    let elts = Blast.state_elements extended in
+    let elts = Strash.state_elements extended in
     let solver = Solver.create ?config:solver_config () in
-    let e = Engine.make ~strash solver in
+    let sh = Strash.create solver in
     (* Stats merge exactly once per solver instance: a check the
        [interrupt] hook abandons (a supervision watchdog about to
        retry the whole call) must not record its partial counts — the
@@ -168,28 +168,31 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
     in
     let search () =
     let inputs = List.map (fun (n, s) -> (n, Signal.width s)) (Circuit.inputs extended) in
-    let st = ref (Array.map (fun elt -> e.Engine.constant (Blast.elt_init elt)) elts) in
+    let state =
+      ref (Array.map (fun elt -> Strash.constant sh (Strash.elt_init elt)) elts)
+    in
     let frames = ref [] in
     let result = ref None in
     let k = ref 0 in
     while !result = None && !k < depth do
       let vecs =
-        List.map (fun (n, w) -> (n, e.Engine.fresh_vector w)) inputs
+        List.map (fun (n, w) -> (n, Strash.fresh_vector sh w)) inputs
       in
-      let outputs, next =
-        e.Engine.frame extended
+      let f =
+        Strash.frame sh extended
           ~inputs:(fun n -> List.assoc n vecs)
-          ~state:(fun i -> !st.(i))
+          ~state:(fun i -> !state.(i))
       in
-      st := next;
+      state := f.Strash.next;
       frames := vecs :: !frames;
       let bads =
         List.map
-          (fun p -> (p, (List.assoc (bad_output_name p) outputs).(0)))
+          (fun p -> (p, (List.assoc (bad_output_name p) f.Strash.outputs).(0)))
           properties
       in
       let act = Solver.new_var solver in
-      Solver.add_clause solver (-act :: List.map (fun (_, l) -> e.Engine.sl l) bads);
+      Solver.add_clause solver
+        (-act :: List.map (fun (_, l) -> Strash.to_solver_lit sh l) bads);
       (match Solver.solve ~assumptions:[ act ] ~budget ?interrupt solver with
       | Solver.Unknown ->
         (* Budget exhausted at this frame: report how far the search
@@ -203,12 +206,12 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
                   !k (!k - 1)))
       | Solver.Sat ->
         let violated, _ =
-          List.find (fun (_, l) -> e.Engine.lit_value l) bads
+          List.find (fun (_, l) -> Strash.value sh l) bads
         in
         let trace =
           List.rev_map
             (fun vecs ->
-              List.map (fun (n, v) -> (n, e.Engine.model_bits v)) vecs)
+              List.map (fun (n, v) -> (n, Strash.model_bits sh v)) vecs)
             !frames
         in
         confirm_on_sim extended ~bad_name:(bad_output_name violated) ~at:!k
@@ -232,8 +235,8 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
           search)
   end
 
-let check_auto ?trace ?metrics ?budget ?interrupt ?depth ?strash ?solver_config
-    circuit =
+let check_auto ?trace ?metrics ?budget ?interrupt ?depth ?solver_config circuit
+    =
   match derive_properties circuit with
   | [] ->
     invalid_arg
@@ -242,8 +245,8 @@ let check_auto ?trace ?metrics ?budget ?interrupt ?depth ?strash ?solver_config
          (Circuit.name circuit))
   | properties -> (
     match
-      check ?trace ?metrics ?budget ?interrupt ?depth ?strash ?solver_config
-        circuit properties
+      check ?trace ?metrics ?budget ?interrupt ?depth ?solver_config circuit
+        properties
     with
     | Holds d -> Holds d
     | Unknown _ as r -> r

@@ -48,17 +48,15 @@ val check :
   ?budget:Solver.budget ->
   ?interrupt:(unit -> unit) ->
   ?depth:int ->
-  ?strash:bool ->
   ?solver_config:Solver.config ->
   Circuit.t ->
   property list ->
   result
 (** Unroll from the power-on state and search each frame for a
-    violated property. Default [depth = 20] frames.  [strash] (default
-    [true]) encodes frames through the hash-consed {!Strash} form
-    (structure repeated across the unrolling is blasted once);
-    [solver_config] sets the solver's search strategy (the portfolio
-    racer knob).  [budget] (default unlimited) caps each per-frame
+    violated property. Default [depth = 20] frames.  Frames are
+    encoded through {!Strash}, so structure repeated across the
+    unrolling is blasted once.  [solver_config] sets the solver's
+    search strategy (the portfolio racer knob).  [budget] (default unlimited) caps each per-frame
     solve; on exhaustion the result is an honest [Unknown] —
     deterministically, since the caps count solver operations rather
     than wall clock.  [interrupt] is polled from inside SAT search and
@@ -74,7 +72,6 @@ val check_auto :
   ?budget:Solver.budget ->
   ?interrupt:(unit -> unit) ->
   ?depth:int ->
-  ?strash:bool ->
   ?solver_config:Solver.config ->
   Circuit.t ->
   result

@@ -5,10 +5,9 @@
    One solver carries a whole check: the BMC sweep, every escalation
    attempt of the induction, phase B and the k-induction fallback all
    add clauses to the same instance, so lemmas learned in one stage
-   prune the search of the next.  Frames are built either through
-   {!Strash} (the default — hash-consed, so the structure the two
-   sides share is encoded once) or through {!Blast} (the legacy
-   per-occurrence encoding, kept as a differential oracle). *)
+   prune the search of the next.  Frames are built through {!Strash},
+   hash-consed, so the structure the two sides share is encoded
+   once. *)
 
 open Hwpat_rtl
 
@@ -31,8 +30,8 @@ type plan = {
   union_inputs : (string * int * int) list;
       (* name, width, scope: 0 = shared, 1 = a-only, 2 = b-only *)
   shared_outputs : string list;
-  elts_a : Blast.state_elt array;
-  elts_b : Blast.state_elt array;
+  elts_a : Strash.state_elt array;
+  elts_b : Strash.state_elt array;
 }
 
 let make_plan a b =
@@ -73,8 +72,8 @@ let make_plan a b =
     b;
     union_inputs;
     shared_outputs;
-    elts_a = Blast.state_elements a;
-    elts_b = Blast.state_elements b;
+    elts_a = Strash.state_elements a;
+    elts_b = Strash.state_elements b;
   }
 
 (* --- One joint frame ----------------------------------------------------- *)
@@ -85,49 +84,56 @@ type joint = {
   j_out_b : (string * int array) list;
   j_next_a : int array array;
   j_next_b : int array array;
-  j_diff : int;  (** engine lit: some shared output differs *)
+  j_diff : int;  (** strash lit: some shared output differs *)
 }
 
 (* Inputs exclusive to one side are tied to zero: the convention that
    makes a pruned variant (requests tied off at elaboration) comparable
    to the full model on the retained interface.  Both sides read the
-   {e same} input vectors, so under a strash engine any logic the two
-   circuits share becomes the same nodes and output equality folds away
-   structurally. *)
-let instantiate (e : Engine.t) plan ~st_a ~st_b =
+   {e same} input vectors, so any logic the two circuits share becomes
+   the same strash nodes and output equality folds away structurally. *)
+let instantiate sh plan ~st_a ~st_b =
   let vecs =
     List.map
       (fun (name, w, scope) ->
         ( name,
-          if scope = 0 then e.fresh_vector w else e.constant (Bits.zero w) ))
+          if scope = 0 then Strash.fresh_vector sh w
+          else Strash.constant sh (Bits.zero w) ))
       plan.union_inputs
   in
   let input_fn name = List.assoc name vecs in
-  let out_a, next_a = e.frame plan.a ~inputs:input_fn ~state:(fun i -> st_a.(i)) in
-  let out_b, next_b = e.frame plan.b ~inputs:input_fn ~state:(fun i -> st_b.(i)) in
+  let fa = Strash.frame sh plan.a ~inputs:input_fn ~state:(fun i -> st_a.(i)) in
+  let fb = Strash.frame sh plan.b ~inputs:input_fn ~state:(fun i -> st_b.(i)) in
   let diff =
-    e.eor_list
+    Strash.or_list sh
       (List.map
-         (fun n -> e.enot (e.eq_vec (List.assoc n out_a) (List.assoc n out_b)))
+         (fun n ->
+           Strash.snot
+             (Strash.lits_equal sh
+                (List.assoc n fa.Strash.outputs)
+                (List.assoc n fb.Strash.outputs)))
          plan.shared_outputs)
   in
   {
     j_vecs = vecs;
-    j_out_a = out_a;
-    j_out_b = out_b;
-    j_next_a = next_a;
-    j_next_b = next_b;
+    j_out_a = fa.Strash.outputs;
+    j_out_b = fb.Strash.outputs;
+    j_next_a = fa.Strash.next;
+    j_next_b = fb.Strash.next;
     j_diff = diff;
   }
 
-let init_state (e : Engine.t) elts = Array.map (fun elt -> e.constant (Blast.elt_init elt)) elts
-let free_state (e : Engine.t) elts = Array.map (fun elt -> e.fresh_vector (Blast.elt_width elt)) elts
+let init_state sh elts =
+  Array.map (fun elt -> Strash.constant sh (Strash.elt_init elt)) elts
+
+let free_state sh elts =
+  Array.map (fun elt -> Strash.fresh_vector sh (Strash.elt_width elt)) elts
 
 (* --- Counterexample search and replay ------------------------------------ *)
 
-let extract_cex (e : Engine.t) frames_rev =
+let extract_cex sh frames_rev =
   List.rev_map
-    (fun vecs -> List.map (fun (name, v) -> (name, e.model_bits v)) vecs)
+    (fun vecs -> List.map (fun (name, v) -> (name, Strash.model_bits sh v)) vecs)
     frames_rev
 
 let counterexample_to_string cex =
@@ -186,22 +192,23 @@ let confirm_cex plan cex =
    lets [check] sweep shallowly before induction and return for a deep
    sweep only when induction stays undecided — the per-frame miter
    solves get exponentially harder with depth. *)
-let bmc_sweep ~solve (e : Engine.t) plan =
-  let st_a = ref (init_state e plan.elts_a) in
-  let st_b = ref (init_state e plan.elts_b) in
+let bmc_sweep ~solve sh plan =
+  let solver = Strash.solver sh in
+  let st_a = ref (init_state sh plan.elts_a) in
+  let st_b = ref (init_state sh plan.elts_b) in
   let frames = ref [] in
   let searched = ref 0 in
   fun ~depth ->
     let found = ref None in
     while !found = None && !searched < depth do
-      let j = instantiate e plan ~st_a:!st_a ~st_b:!st_b in
+      let j = instantiate sh plan ~st_a:!st_a ~st_b:!st_b in
       st_a := j.j_next_a;
       st_b := j.j_next_b;
       frames := j.j_vecs :: !frames;
-      let act = Solver.new_var e.solver in
-      Solver.add_clause e.solver [ -act; e.sl j.j_diff ];
-      (match solve ~assumptions:[ act ] e.solver with
-      | `Sat -> found := Some (extract_cex e !frames)
+      let act = Solver.new_var solver in
+      Solver.add_clause solver [ -act; Strash.to_solver_lit sh j.j_diff ];
+      (match solve ~assumptions:[ act ] solver with
+      | `Sat -> found := Some (extract_cex sh !frames)
       | `Unsat -> ());
       incr searched
     done;
@@ -231,8 +238,8 @@ let random_bits st ~width =
 
 let state_bits_value sim elt =
   match elt with
-  | Blast.Reg_state s | Blast.Read_state s -> Cyclesim.peek_state sim s
-  | Blast.Mem_word (m, i) -> (Cyclesim.memory_contents sim m).(i)
+  | Strash.Reg_state s | Strash.Read_state s -> Cyclesim.peek_state sim s
+  | Strash.Mem_word (m, i) -> (Cyclesim.memory_contents sim m).(i)
 
 (* Per-state-bit 0/1 signatures over a random run (the power-on state
    is sample 0). Identical signatures land in one equivalence class;
@@ -241,7 +248,7 @@ let discover_classes plan ~sim_cycles =
   let sa = Cyclesim.create plan.a and sb = Cyclesim.create plan.b in
   let n_samples = sim_cycles + 1 in
   let make_sigs elts =
-    Array.map (fun e -> Array.init (Blast.elt_width e) (fun _ -> Bytes.make n_samples '0')) elts
+    Array.map (fun e -> Array.init (Strash.elt_width e) (fun _ -> Bytes.make n_samples '0')) elts
   in
   let sigs_a = make_sigs plan.elts_a and sigs_b = make_sigs plan.elts_b in
   let sample t =
@@ -304,7 +311,7 @@ let discover_classes plan ~sim_cycles =
 
 let init_bit plan (side, e, bit) =
   let elts = if side = 0 then plan.elts_a else plan.elts_b in
-  Bits.bit (Blast.elt_init elts.(e)) bit
+  Bits.bit (Strash.elt_init elts.(e)) bit
 
 (* --- Induction ----------------------------------------------------------- *)
 
@@ -323,7 +330,7 @@ type enc_cls = { cls : cls; sel : Solver.lit; viols : Solver.lit list }
    frame is the expensive part of the induction, and nothing about it
    depends on which candidate classes are currently conjectured. *)
 type ind_ctx = {
-  e : Engine.t;
+  sh : Strash.t;
   plan : plan;
   st_a : int array array;
   st_b : int array array;
@@ -331,11 +338,11 @@ type ind_ctx = {
   mutable live : enc_cls list;
 }
 
-let make_ind_ctx e plan =
-  let st_a = free_state e plan.elts_a in
-  let st_b = free_state e plan.elts_b in
-  let joint = instantiate e plan ~st_a ~st_b in
-  { e; plan; st_a; st_b; joint; live = [] }
+let make_ind_ctx sh plan =
+  let st_a = free_state sh plan.elts_a in
+  let st_b = free_state sh plan.elts_b in
+  let joint = instantiate sh plan ~st_a ~st_b in
+  { sh; plan; st_a; st_b; joint; live = [] }
 
 let cur_lit ctx (side, elt, bit) =
   if side = 0 then ctx.st_a.(elt).(bit) else ctx.st_b.(elt).(bit)
@@ -345,8 +352,9 @@ let next_lit ctx (side, elt, bit) =
   else ctx.joint.j_next_b.(elt).(bit)
 
 let encode_cls ctx c =
-  let e = ctx.e in
-  let solver = e.solver in
+  let sh = ctx.sh in
+  let solver = Strash.solver sh in
+  let sl = Strash.to_solver_lit sh in
   match c.members with
   | [] -> None
   | rep :: rest ->
@@ -355,23 +363,23 @@ let encode_cls ctx c =
       List.map
         (fun m ->
           Solver.add_clause solver
-            [ -s; -e.sl (cur_lit ctx rep); e.sl (cur_lit ctx m) ];
+            [ -s; -sl (cur_lit ctx rep); sl (cur_lit ctx m) ];
           Solver.add_clause solver
-            [ -s; e.sl (cur_lit ctx rep); -e.sl (cur_lit ctx m) ];
-          e.sl (e.exor (next_lit ctx rep) (next_lit ctx m)))
+            [ -s; sl (cur_lit ctx rep); -sl (cur_lit ctx m) ];
+          sl (Strash.sxor sh (next_lit ctx rep) (next_lit ctx m)))
         rest
     in
     let const_viols =
       match c.const with
       | Some v ->
         Solver.add_clause solver
-          [ -s; (if v then e.sl (cur_lit ctx rep) else -e.sl (cur_lit ctx rep)) ];
-        [ e.sl (if v then e.enot (next_lit ctx rep) else next_lit ctx rep) ]
+          [ -s; (if v then sl (cur_lit ctx rep) else -sl (cur_lit ctx rep)) ];
+        [ sl (if v then Strash.snot (next_lit ctx rep) else next_lit ctx rep) ]
       | None -> []
     in
     Some { cls = c; sel = s; viols = member_viols @ const_viols }
 
-let retire ctx ec = Solver.add_clause ctx.e.solver [ -ec.sel ]
+let retire ctx ec = Solver.add_clause (Strash.solver ctx.sh) [ -ec.sel ]
 
 let install_classes ctx classes =
   List.iter (retire ctx) ctx.live;
@@ -381,8 +389,8 @@ let dbg_side_bit plan (side, e, bit) =
   let elts = if side = 0 then plan.elts_a else plan.elts_b in
   let base =
     match elts.(e) with
-    | Blast.Reg_state s | Blast.Read_state s -> Format.asprintf "%a" Signal.pp s
-    | Blast.Mem_word (m, i) -> Printf.sprintf "%s[%d]" (Signal.memory_name m) i
+    | Strash.Reg_state s | Strash.Read_state s -> Format.asprintf "%a" Signal.pp s
+    | Strash.Mem_word (m, i) -> Printf.sprintf "%s[%d]" (Signal.memory_name m) i
   in
   Printf.sprintf "%c:%s.%d" (if side = 0 then 'a' else 'b') base bit
 
@@ -405,8 +413,9 @@ let dbg_side_bit plan (side, e, bit) =
    re-encoded per round for hundreds of rounds. *)
 let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
     ~with_fallback ~refine_budget =
-  let e = ctx.e in
-  let solver = e.solver in
+  let sh = ctx.sh in
+  let solver = Strash.solver sh in
+  let sl = Strash.to_solver_lit sh in
   let plan = ctx.plan in
   install_classes ctx classes;
   (* Each refinement round pays one SAT solve, and typically separates
@@ -438,7 +447,7 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
               let c = ec.cls in
               let zero, one =
                 List.partition
-                  (fun m -> not (e.lit_value (next_lit ctx m)))
+                  (fun m -> not (Strash.value sh (next_lit ctx m)))
                   c.members
               in
               let sub members const =
@@ -495,25 +504,25 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
       Printf.eprintf "[equiv] induction closed with %d classes\n%!"
         (List.length ctx.live);
     let act = Solver.new_var solver in
-    Solver.add_clause solver [ -act; e.sl ctx.joint.j_diff ];
+    Solver.add_clause solver [ -act; sl ctx.joint.j_diff ];
     let sels = List.map (fun ec -> ec.sel) ctx.live in
     let phase_b = solve ~assumptions:(act :: sels) solver in
     (if debug && phase_b = `Sat then begin
        List.iter
          (fun nm ->
-           let va = e.model_bits (List.assoc nm ctx.joint.j_out_a)
-           and vb = e.model_bits (List.assoc nm ctx.joint.j_out_b) in
+           let va = Strash.model_bits sh (List.assoc nm ctx.joint.j_out_a)
+           and vb = Strash.model_bits sh (List.assoc nm ctx.joint.j_out_b) in
            if not (Bits.equal va vb) then
              Printf.eprintf "[equiv] phase B: output %s a=%s b=%s\n%!" nm
                (Bits.to_string va) (Bits.to_string vb))
          plan.shared_outputs;
-       let dump side st =
+       let dump side state =
          Array.iteri
            (fun elt lits ->
              Printf.eprintf "[equiv]   %s = %s\n%!"
                (dbg_side_bit plan (side, elt, 0))
-               (Bits.to_string (e.model_bits lits)))
-           st
+               (Bits.to_string (Strash.model_bits sh lits)))
+           state
        in
        dump 0 ctx.st_a;
        dump 1 ctx.st_b
@@ -552,25 +561,25 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
                 | rep :: rest ->
                   List.iter
                     (fun m ->
-                      Solver.add_clause solver [ -e.sl (lit rep); e.sl (lit m) ];
-                      Solver.add_clause solver [ e.sl (lit rep); -e.sl (lit m) ])
+                      Solver.add_clause solver [ -sl (lit rep); sl (lit m) ];
+                      Solver.add_clause solver [ sl (lit rep); -sl (lit m) ])
                     rest;
                   (match c.const with
                   | Some v ->
                     Solver.add_clause solver
-                      [ (if v then e.sl (lit rep) else -e.sl (lit rep)) ]
+                      [ (if v then sl (lit rep) else -sl (lit rep)) ]
                   | None -> ()))
               invariants
           in
-          let st_a = ref (free_state e plan.elts_a) in
-          let st_b = ref (free_state e plan.elts_b) in
+          let st_a = ref (free_state sh plan.elts_a) in
+          let st_b = ref (free_state sh plan.elts_b) in
           assert_invariants !st_a !st_b;
           let diffs = ref [] in
           let proved = ref false in
           let k = ref 0 in
           let k_max = min max_induction bmc_depth in
           while (not !proved) && !k <= k_max do
-            let j = instantiate e plan ~st_a:!st_a ~st_b:!st_b in
+            let j = instantiate sh plan ~st_a:!st_a ~st_b:!st_b in
             st_a := j.j_next_a;
             st_b := j.j_next_b;
             assert_invariants !st_a !st_b;
@@ -580,7 +589,7 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
             | [] -> ()
             | earlier -> (
               let assumptions =
-                e.sl j.j_diff :: List.map (fun d -> -e.sl d) earlier
+                sl j.j_diff :: List.map (fun d -> -sl d) earlier
               in
               match solve ~assumptions solver with
               | `Unsat -> proved := true
@@ -601,8 +610,7 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
 
 let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
     ?(budget = Solver.no_budget) ?interrupt ?(bmc_depth = 24)
-    ?(max_induction = 20) ?(sim_cycles = 48) ?(strash = true) ?solver_config
-    a b =
+    ?(max_induction = 20) ?(sim_cycles = 48) ?solver_config a b =
   let module Trace = Hwpat_obs.Trace in
   let solvers = ref [] in
   let register s =
@@ -643,8 +651,8 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
       Array.length plan.elts_a = 0 && Array.length plan.elts_b = 0
     in
     let solver = register (Solver.create ?config:solver_config ()) in
-    let e = Engine.make ~strash solver in
-    let sweep = bmc_sweep ~solve e plan in
+    let sh = Strash.create solver in
+    let sweep = bmc_sweep ~solve sh plan in
     let sweep ~depth =
       Trace.span trace "bmc_sweep"
         ~args:[ ("depth", Trace.Int depth) ]
@@ -678,7 +686,7 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
         (* The joint induction frame is built on first use and shared
            by every escalation attempt: re-discovery replaces the
            candidate classes, not the frame. *)
-        let ctx = lazy (make_ind_ctx e plan) in
+        let ctx = lazy (make_ind_ctx sh plan) in
         let induction ~classes ~with_fallback ~refine_budget =
           Trace.span trace "induction" (fun () ->
               prove_by_induction (Lazy.force ctx) ~solve ~classes

@@ -41,7 +41,6 @@ val check :
   ?bmc_depth:int ->
   ?max_induction:int ->
   ?sim_cycles:int ->
-  ?strash:bool ->
   ?solver_config:Solver.config ->
   Circuit.t ->
   Circuit.t ->
@@ -51,15 +50,13 @@ val check :
     [sim_cycles = 48] (random-simulation length for candidate
     discovery).
 
-    [strash] (default [true]) builds every time frame through the
-    hash-consed {!Strash} form, so structure the two sides share —
-    dissolved wrappers over the same metamodel config, repeated
-    subcircuits within one side — is encoded once and only the cones
-    some constraint actually reaches are blasted; [false] keeps the
-    legacy per-occurrence {!Blast} encoding (the differential suite
-    pins verdict equality between the two).  Either way one solver
-    carries the whole check, so clauses learned during the BMC sweep
-    prune the induction and so on down the ladder.
+    Every time frame is built through the hash-consed {!Strash} form,
+    so structure the two sides share — dissolved wrappers over the
+    same metamodel config, repeated subcircuits within one side — is
+    encoded once, and only the cones some constraint actually reaches
+    are blasted.  One solver carries the whole check, so clauses
+    learned during the BMC sweep prune the induction and so on down
+    the ladder.
 
     [solver_config] (default {!Solver.default_config}) sets the
     search strategy of that solver — the portfolio racer knob.

@@ -1,12 +1,73 @@
-(* Structural hashing: a hash-consed AIG-style netlist form (AND/XOR/MUX
-   nodes over complemented edges) built before Tseitin blasting.
-   Structurally identical subgraphs — including dissolved pattern-wrapper
-   logic appearing on both sides of an equivalence miter, and repeated
-   address decoders inside one frame — become literally the same node,
-   and each node is emitted to CNF at most once per solver, however many
-   times it occurs. *)
+(* Structural hashing: the one frame encoder of the prover.  A circuit's
+   time frame is built over hash-consed AIG-style nodes (AND/XOR/MUX
+   over complemented edges) before Tseitin blasting.  Structurally
+   identical subgraphs — including dissolved pattern-wrapper logic
+   appearing on both sides of an equivalence miter, and repeated address
+   decoders inside one frame — become literally the same node, and each
+   node is emitted to CNF at most once per solver, however many times
+   it occurs. *)
 
 open Hwpat_rtl
+
+(* --- State elements ------------------------------------------------------ *)
+
+type state_elt =
+  | Reg_state of Signal.t
+  | Read_state of Signal.t
+  | Mem_word of Signal.memory * int
+
+let state_elements circuit =
+  let signals = Circuit.signals circuit in
+  let regs =
+    List.filter_map
+      (fun s ->
+        match Signal.prim s with Reg _ -> Some (Reg_state s) | _ -> None)
+      signals
+  in
+  let reads =
+    List.filter_map
+      (fun s ->
+        match Signal.prim s with
+        | Mem_read_sync _ -> Some (Read_state s)
+        | _ -> None)
+      signals
+  in
+  let words =
+    List.concat_map
+      (fun m ->
+        List.init (Signal.memory_size m) (fun i -> Mem_word (m, i)))
+      (Circuit.memories circuit)
+  in
+  Array.of_list (regs @ reads @ words)
+
+let elt_width = function
+  | Reg_state s | Read_state s -> Signal.width s
+  | Mem_word (m, _) -> Signal.memory_width m
+
+let elt_init = function
+  | Reg_state s -> (
+    match Signal.prim s with
+    | Reg { init; _ } -> init
+    | _ -> assert false)
+  | (Read_state _ | Mem_word _) as e -> Bits.zero (elt_width e)
+
+let elt_label = function
+  | Reg_state s -> (
+    match Signal.names s with
+    | n :: _ -> "reg " ^ n
+    | [] -> Printf.sprintf "reg#%d" (Signal.uid s))
+  | Read_state s -> (
+    match Signal.names s with
+    | n :: _ -> "read " ^ n
+    | [] -> Printf.sprintf "read#%d" (Signal.uid s))
+  | Mem_word (m, i) -> Printf.sprintf "%s[%d]" (Signal.memory_name m) i
+
+let elt_key = function
+  | Reg_state s -> (0, Signal.uid s, 0)
+  | Read_state s -> (1, Signal.uid s, 0)
+  | Mem_word (m, i) -> (2, Signal.memory_uid m, i)
+
+(* --- AIG literals and nodes ---------------------------------------------- *)
 
 type lit = int
 (* lit = 2*node + phase; phase 1 is complemented. Node 0 is constant
@@ -302,7 +363,7 @@ let model_bits t v =
   let w = Array.length v in
   Bits.of_string (String.init w (fun i -> if value t v.(w - 1 - i) then '1' else '0'))
 
-(* --- Vector helpers (mirrors of the Blast ones, over AIG lits) ----------- *)
+(* --- Vector helpers: word-level operators over AIG literals, LSB-first -- *)
 
 let lits_equal t a b =
   if Array.length a <> Array.length b then
@@ -376,15 +437,15 @@ type frame = {
   next : lit array array;
 }
 
-(* One time-frame of a circuit over AIG literals — the settle-then-edge
-   semantics of [Blast.frame], but hash-consed: a subgraph occurring on
-   both sides of a miter (or repeated inside one side) is encoded
-   once. *)
+(* One time-frame of a circuit over AIG literals, with the
+   settle-then-edge semantics of Cyclesim, hash-consed: a subgraph
+   occurring on both sides of a miter (or repeated inside one side) is
+   encoded once. *)
 let frame t circuit ~inputs ~state =
-  let elts = Blast.state_elements circuit in
+  let elts = state_elements circuit in
   let pos = Hashtbl.create 97 in
-  Array.iteri (fun i e -> Hashtbl.replace pos (Blast.elt_key e) i) elts;
-  let state_of e = state (Hashtbl.find pos (Blast.elt_key e)) in
+  Array.iteri (fun i e -> Hashtbl.replace pos (elt_key e) i) elts;
+  let state_of e = state (Hashtbl.find pos (elt_key e)) in
   let values : (int, lit array) Hashtbl.t = Hashtbl.create 997 in
   let get s =
     match Hashtbl.find_opt values (Signal.uid s) with
@@ -398,7 +459,7 @@ let frame t circuit ~inputs ~state =
     let width = Signal.memory_width m in
     let result = ref (constant t (Bits.zero width)) in
     for i = Signal.memory_size m - 1 downto 0 do
-      let word = state_of (Blast.Mem_word (m, i)) in
+      let word = state_of (Mem_word (m, i)) in
       let hit = eq_const t addr i in
       result := Array.map2 (fun d1 d0 -> smux t hit d1 d0) word !result
     done;
@@ -428,8 +489,8 @@ let frame t circuit ~inputs ~state =
     | Signal.Concat parts -> Array.concat (List.rev_map get parts)
     | Signal.Select { src; high; low } -> Array.sub (get src) low (high - low + 1)
     | Signal.Mux { select; cases } -> mux_cases t (get select) (List.map get cases)
-    | Signal.Reg _ -> state_of (Blast.Reg_state s)
-    | Signal.Mem_read_sync _ -> state_of (Blast.Read_state s)
+    | Signal.Reg _ -> state_of (Reg_state s)
+    | Signal.Mem_read_sync _ -> state_of (Read_state s)
     | Signal.Mem_read_async { memory; addr } -> read_mem memory (get addr)
     | Signal.Wire { driver = Some d } -> get d
     | Signal.Wire { driver = None } -> invalid_arg "Strash.frame: undriven wire"
@@ -445,7 +506,7 @@ let frame t circuit ~inputs ~state =
       (fun e ->
         let cur = state_of e in
         match e with
-        | Blast.Reg_state s -> (
+        | Reg_state s -> (
           match Signal.prim s with
           | Signal.Reg { d; enable; clear; clear_to; init = _ } ->
             let dl = get d in
@@ -455,7 +516,7 @@ let frame t circuit ~inputs ~state =
             Array.init (Array.length cur) (fun i ->
                 smux t cl ct.(i) (smux t en dl.(i) cur.(i)))
           | _ -> assert false)
-        | Blast.Read_state s -> (
+        | Read_state s -> (
           match Signal.prim s with
           | Signal.Mem_read_sync { memory; addr; enable } ->
             let en = control enable ~default:lit_true in
@@ -463,7 +524,7 @@ let frame t circuit ~inputs ~state =
             Array.init (Array.length cur) (fun i ->
                 smux t en now.(i) cur.(i))
           | _ -> assert false)
-        | Blast.Mem_word (m, w) ->
+        | Mem_word (m, w) ->
           List.fold_left
             (fun acc (en, addr, data) ->
               let hit =
@@ -480,115 +541,3 @@ let frame t circuit ~inputs ~state =
   { value = get; outputs; next }
 
 let num_nodes t = t.n
-
-(* --- Netlist-to-netlist rewrite ------------------------------------------ *)
-
-(* Rebuild a circuit as its hash-consed bit-level form: every state
-   element becomes 1-bit registers fed by the strashed next-state
-   functions (memories flatten into their words), ports keep their
-   names and widths.  The result is an ordinary circuit — simulatable
-   by Cyclesim and provable by Equiv — whose cycle behaviour on the
-   ports is identical to the original's; the differential test suite
-   pins that down. *)
-let rewrite circuit =
-  let t = create (Solver.create ()) in
-  let elts = Blast.state_elements circuit in
-  (* Leaf literal -> the Signal that models it. *)
-  let leaf_signal : (int, Signal.t) Hashtbl.t = Hashtbl.create 256 in
-  let bind_leaves lits signals =
-    Array.iteri (fun i l -> Hashtbl.replace leaf_signal (node_of l) signals.(i)) lits
-  in
-  let input_vecs =
-    List.map
-      (fun (name, s) ->
-        let w = Signal.width s in
-        let port = Signal.input name w in
-        let lits = fresh_vector t w in
-        bind_leaves lits (Array.init w (fun i -> Signal.bit port i));
-        (name, lits))
-      (Circuit.inputs circuit)
-  in
-  let state_vecs =
-    Array.map
-      (fun e ->
-        let w = Blast.elt_width e in
-        let lits = fresh_vector t w in
-        let wires = Array.init w (fun _ -> Signal.wire 1) in
-        bind_leaves lits wires;
-        (lits, wires))
-      elts
-  in
-  let f =
-    frame t circuit
-      ~inputs:(fun n -> List.assoc n input_vecs)
-      ~state:(fun i -> fst state_vecs.(i))
-  in
-  (* AIG -> Signal graph, memoised per literal so complemented edges
-     share their [~:] node too. *)
-  let memo : (int, Signal.t) Hashtbl.t = Hashtbl.create 997 in
-  let rec signal_of l =
-    match Hashtbl.find_opt memo l with
-    | Some s -> s
-    | None ->
-      let s =
-        if l = lit_true then Signal.vdd
-        else if l = lit_false then Signal.gnd
-        else if phase_of l = 1 then Signal.( ~: ) (signal_of (snot l))
-        else begin
-          let id = node_of l in
-          if t.kind.(id) = k_leaf then Hashtbl.find leaf_signal id
-          else if t.kind.(id) = k_and then
-            Signal.( &: ) (signal_of t.fa.(id)) (signal_of t.fb.(id))
-          else if t.kind.(id) = k_xor then
-            Signal.( ^: ) (signal_of t.fa.(id)) (signal_of t.fb.(id))
-          else
-            Signal.mux2 (signal_of t.fa.(id)) (signal_of t.fb.(id))
-              (signal_of t.fc.(id))
-        end
-      in
-      Hashtbl.add memo l s;
-      s
-  in
-  Array.iteri
-    (fun i e ->
-      let _, wires = state_vecs.(i) in
-      let init = Blast.elt_init e in
-      Array.iteri
-        (fun bit w ->
-          let d = signal_of f.next.(i).(bit) in
-          let init = Bits.of_string (if Bits.bit init bit then "1" else "0") in
-          Signal.( <== ) w (Signal.reg ~init d))
-        wires)
-    elts;
-  let outputs =
-    List.map
-      (fun (name, lits) ->
-        let w = Array.length lits in
-        ( name,
-          Signal.concat_msb
-            (List.init w (fun i -> signal_of lits.(w - 1 - i))) ))
-      f.outputs
-  in
-  (* Constant propagation can sever an input (or a whole register cone)
-     from every output, and [Circuit.create_exn] infers ports from
-     reachability — so anchor one bit of every input port into the
-     first output through an always-zero term, keeping the port set
-     identical to the original's without disturbing any value. *)
-  let outputs =
-    match (outputs, List.map (fun (n, _) -> List.assoc n input_vecs) (Circuit.inputs circuit)) with
-    | [], _ | _, [] -> outputs
-    | (oname, o) :: rest, in_lits ->
-      let touch =
-        List.fold_left
-          (fun acc lits -> Signal.( &: ) acc (Hashtbl.find leaf_signal (node_of lits.(0))))
-          Signal.vdd in_lits
-      in
-      let anchor = Signal.( &: ) touch Signal.gnd in
-      let w = Signal.width o in
-      let pad =
-        if w = 1 then anchor
-        else Signal.concat_msb [ Signal.zero (w - 1); anchor ]
-      in
-      (oname, Signal.( ^: ) o pad) :: rest
-  in
-  Circuit.create_exn ~name:(Circuit.name circuit ^ "_strash") outputs

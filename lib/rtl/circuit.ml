@@ -115,3 +115,25 @@ let memories t = t.memories
 let registers t =
   List.filter (fun s -> match Signal.prim s with Signal.Reg _ -> true | _ -> false)
     t.schedule
+
+type names = {
+  signal : Signal.t -> string;
+  memory : Signal.memory -> string;
+}
+
+let names t =
+  let positions key items =
+    let tbl = Hashtbl.create 97 in
+    List.iteri (fun i x -> Hashtbl.replace tbl (key x) i) items;
+    fun x -> Hashtbl.find tbl (key x)
+  in
+  let signal_pos = positions Signal.uid t.schedule in
+  let memory_pos = positions Signal.memory_uid t.memories in
+  {
+    signal =
+      (fun s ->
+        let base = match Signal.names s with n :: _ -> n | [] -> "s" in
+        Printf.sprintf "%s_%d" base (signal_pos s));
+    memory =
+      (fun m -> Printf.sprintf "%s_%d" (Signal.memory_name m) (memory_pos m));
+  }

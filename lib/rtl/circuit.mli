@@ -33,3 +33,19 @@ val memories : t -> Signal.memory list
 
 val registers : t -> Signal.t list
 (** All [Reg] nodes. *)
+
+(** {1 Names for the netlist back-ends} *)
+
+type names = {
+  signal : Signal.t -> string;
+      (** first user name (or [s]) suffixed with the node's position
+          in {!signals} *)
+  memory : Signal.memory -> string;
+      (** memory name suffixed with its position in {!memories} *)
+}
+
+val names : t -> names
+(** Internal names for {!Vhdl} and {!Verilog}, numbered per circuit at
+    emission time.  They depend only on the circuit's structure, not on
+    the process-global uids, so one design emits the same text however
+    many signals the process built before it. *)

@@ -1,5 +1,3 @@
-let node_id s = Printf.sprintf "n%d" (Signal.uid s)
-
 let label s =
   let base =
     match Signal.prim s with
@@ -37,6 +35,11 @@ let shape s =
   | _ -> "ellipse"
 
 let to_string circuit =
+  (* Nodes are numbered by position, not uid, so the text depends only
+     on the circuit. *)
+  let pos = Hashtbl.create 97 in
+  List.iteri (fun i s -> Hashtbl.replace pos (Signal.uid s) i) (Circuit.signals circuit);
+  let node_id s = Printf.sprintf "n%d" (Hashtbl.find pos (Signal.uid s)) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "digraph %s {\n  rankdir=LR;\n  node [fontsize=10];\n"

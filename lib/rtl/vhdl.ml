@@ -9,29 +9,24 @@ let has_state circuit =
   List.exists is_sequential (Circuit.signals circuit)
   || Circuit.memories circuit <> []
 
-(* Internal signal name for a node. User names win; they are suffixed
-   with the uid to stay unique. *)
-let sig_name s =
-  match Signal.names s with
-  | name :: _ -> Printf.sprintf "%s_%d" name (Signal.uid s)
-  | [] -> Printf.sprintf "s_%d" (Signal.uid s)
-
 let slv_type width = Printf.sprintf "std_logic_vector(%d downto 0)" (width - 1)
 
 let const_literal bits =
   Printf.sprintf "\"%s\"" (Bits.to_string bits)
 
 (* Reference to a node: inputs are referenced by port name, constants
-   inline, everything else through its declared signal. *)
-let ref_of s =
+   inline, everything else through its declared signal ([Circuit.names]:
+   user names win, suffixed with the node's position to stay unique). *)
+let ref_of (nm : Circuit.names) s =
   match Signal.prim s with
   | Signal.Input name -> name
   | Signal.Const b -> const_literal b
-  | _ -> sig_name s
+  | _ -> nm.signal s
 
-let uns s = Printf.sprintf "unsigned(%s)" (ref_of s)
+let uns nm s = Printf.sprintf "unsigned(%s)" (ref_of nm s)
 
-let op2_rhs op a b w =
+let op2_rhs nm op a b w =
+  let ref_of = ref_of nm and uns = uns nm in
   match op with
   | Signal.Add -> Printf.sprintf "std_logic_vector(%s + %s)" (uns a) (uns b)
   | Signal.Sub -> Printf.sprintf "std_logic_vector(%s - %s)" (uns a) (uns b)
@@ -45,34 +40,33 @@ let op2_rhs op a b w =
   | Signal.Lt ->
     Printf.sprintf "\"1\" when %s < %s else \"0\"" (uns a) (uns b)
 
-let mem_sig m = Printf.sprintf "%s_%d" (Signal.memory_name m) (Signal.memory_uid m)
-
 let emit buffer fmt = Printf.ksprintf (Buffer.add_string buffer) fmt
 
-let declare_signals buf circuit =
+let declare_signals (nm : Circuit.names) buf circuit =
   List.iter
     (fun s ->
       match Signal.prim s with
       | Signal.Input _ | Signal.Const _ -> ()
-      | _ -> emit buf "  signal %s : %s;\n" (sig_name s) (slv_type (Signal.width s)))
+      | _ -> emit buf "  signal %s : %s;\n" (nm.signal s) (slv_type (Signal.width s)))
     (Circuit.signals circuit)
 
-let declare_memories buf circuit =
+let declare_memories (nm : Circuit.names) buf circuit =
   List.iter
     (fun m ->
-      let name = mem_sig m in
+      let name = nm.memory m in
       emit buf "  type %s_t is array (0 to %d) of %s;\n" name
         (Signal.memory_size m - 1)
         (slv_type (Signal.memory_width m));
       emit buf "  signal %s : %s_t := (others => (others => '0'));\n" name name)
     (Circuit.memories circuit)
 
-let emit_comb buf s =
-  let lhs = sig_name s in
+let emit_comb (nm : Circuit.names) buf s =
+  let ref_of = ref_of nm and uns = uns nm in
+  let lhs = nm.signal s in
   match Signal.prim s with
   | Signal.Const _ | Signal.Input _ -> ()
   | Signal.Op2 (op, a, b) ->
-    emit buf "  %s <= %s;\n" lhs (op2_rhs op a b (Signal.width s))
+    emit buf "  %s <= %s;\n" lhs (op2_rhs nm op a b (Signal.width s))
   | Signal.Not a -> emit buf "  %s <= not %s;\n" lhs (ref_of a)
   | Signal.Concat parts ->
     emit buf "  %s <= %s;\n" lhs (String.concat " & " (List.map ref_of parts))
@@ -92,15 +86,16 @@ let emit_comb buf s =
     in
     emit buf "  %s <= %s;\n" lhs (String.concat "\n          " branches)
   | Signal.Mem_read_async { memory; addr } ->
-    emit buf "  %s <= %s(to_integer(%s));\n" lhs (mem_sig memory) (uns addr)
+    emit buf "  %s <= %s(to_integer(%s));\n" lhs (nm.memory memory) (uns addr)
   | Signal.Wire { driver = Some d } -> emit buf "  %s <= %s;\n" lhs (ref_of d)
   | Signal.Wire { driver = None } -> assert false
   | Signal.Reg _ | Signal.Mem_read_sync _ -> ()
 
-let emit_reg buf s =
+let emit_reg (nm : Circuit.names) buf s =
+  let ref_of = ref_of nm and uns = uns nm in
   match Signal.prim s with
   | Signal.Reg { d; enable; clear; clear_to; _ } ->
-    let lhs = sig_name s in
+    let lhs = nm.signal s in
     emit buf "  process (%s)\n  begin\n    if rising_edge(%s) then\n" clock_name
       clock_name;
     let indent = ref "      " in
@@ -124,20 +119,21 @@ let emit_reg buf s =
     | None, None -> ());
     emit buf "    end if;\n  end process;\n\n"
   | Signal.Mem_read_sync { memory; addr; enable } ->
-    let lhs = sig_name s in
+    let lhs = nm.signal s in
     emit buf "  process (%s)\n  begin\n    if rising_edge(%s) then\n" clock_name
       clock_name;
     (match enable with
     | Some e ->
       emit buf "      if %s = \"1\" then\n" (ref_of e);
-      emit buf "        %s <= %s(to_integer(%s));\n" lhs (mem_sig memory) (uns addr);
+      emit buf "        %s <= %s(to_integer(%s));\n" lhs (nm.memory memory) (uns addr);
       emit buf "      end if;\n"
     | None ->
-      emit buf "      %s <= %s(to_integer(%s));\n" lhs (mem_sig memory) (uns addr));
+      emit buf "      %s <= %s(to_integer(%s));\n" lhs (nm.memory memory) (uns addr));
     emit buf "    end if;\n  end process;\n\n"
   | _ -> ()
 
-let emit_memory_writes buf m =
+let emit_memory_writes (nm : Circuit.names) buf m =
+  let ref_of = ref_of nm and uns = uns nm in
   let ports = Signal.memory_write_ports m in
   if ports <> [] then begin
     emit buf "  process (%s)\n  begin\n    if rising_edge(%s) then\n" clock_name
@@ -145,7 +141,7 @@ let emit_memory_writes buf m =
     List.iter
       (fun (enable, addr, data) ->
         emit buf "      if %s = \"1\" then\n" (ref_of enable);
-        emit buf "        %s(to_integer(%s)) <= %s;\n" (mem_sig m) (uns addr)
+        emit buf "        %s(to_integer(%s)) <= %s;\n" (nm.memory m) (uns addr)
           (ref_of data);
         emit buf "      end if;\n")
       ports;
@@ -153,6 +149,7 @@ let emit_memory_writes buf m =
   end
 
 let to_string circuit =
+  let nm = Circuit.names circuit in
   let buf = Buffer.create 4096 in
   emit buf "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
   emit buf "entity %s is\n  port (\n" (Circuit.name circuit);
@@ -172,15 +169,15 @@ let to_string circuit =
   emit buf "%s\n  );\nend %s;\n\n" (String.concat ";\n" (List.rev !ports))
     (Circuit.name circuit);
   emit buf "architecture rtl of %s is\n" (Circuit.name circuit);
-  declare_signals buf circuit;
-  declare_memories buf circuit;
+  declare_signals nm buf circuit;
+  declare_memories nm buf circuit;
   emit buf "begin\n";
-  List.iter (fun s -> emit_comb buf s) (Circuit.signals circuit);
+  List.iter (emit_comb nm buf) (Circuit.signals circuit);
   emit buf "\n";
-  List.iter (fun s -> emit_reg buf s) (Circuit.signals circuit);
-  List.iter (fun m -> emit_memory_writes buf m) (Circuit.memories circuit);
+  List.iter (emit_reg nm buf) (Circuit.signals circuit);
+  List.iter (emit_memory_writes nm buf) (Circuit.memories circuit);
   List.iter
-    (fun (n, s) -> emit buf "  %s <= %s;\n" n (ref_of s))
+    (fun (n, s) -> emit buf "  %s <= %s;\n" n (ref_of nm s))
     (Circuit.outputs circuit);
   emit buf "end rtl;\n";
   Buffer.contents buf

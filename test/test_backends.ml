@@ -238,6 +238,23 @@ let test_shift_saturation_consistency () =
     (contains "over_l = 8'b00000000;" verilog);
   check "verilog partial shift pads with zeros" (contains ", 3'b000};" verilog)
 
+(* Emitted text is a function of the circuit alone: building the same
+   design again, after other elaborations have advanced the global
+   signal counter, must reproduce every back-end byte for byte. *)
+let test_emit_independent_of_history () =
+  let build () =
+    fst
+      (Hwpat_core.Designs.build ~design:"saa2vga-sram" ~style:"pattern"
+         ~frame_w:16 ~frame_h:16)
+  in
+  let first = build () in
+  ignore (full_circuit ());
+  let second = build () in
+  List.iter
+    (fun (lang, emit) ->
+      Alcotest.(check string) (lang ^ " identical") (emit first) (emit second))
+    [ ("vhdl", Vhdl.to_string); ("verilog", Verilog.to_string); ("dot", Dot.to_string) ]
+
 let () =
   Alcotest.run "backends"
     [
@@ -256,5 +273,7 @@ let () =
             test_mux_default_arm_consistency;
           Alcotest.test_case "shift saturation consistency" `Quick
             test_shift_saturation_consistency;
+          Alcotest.test_case "emitted text independent of history" `Quick
+            test_emit_independent_of_history;
         ] );
     ]

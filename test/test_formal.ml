@@ -257,6 +257,27 @@ let test_equiv_paper_designs () =
       check_proved (what ^ " vs optimised") (Equiv.check c (Optimize.circuit c)))
     (paper_designs ())
 
+(* The prove gate's deterministic half.  The legacy per-occurrence
+   encoder, before structural hashing, spent this many solver
+   propagations proving the blur design equal to its optimised form;
+   propagation counts replay identically on every machine.  The one
+   frame encoder must stay at least 2x under that frozen figure. *)
+let blast_blur_propagations = 9_263_306
+
+let test_equiv_blur_propagation_bound () =
+  let c =
+    Hwpat_core.Blur_system.build ~image_width:8 ~max_rows:8
+      ~style:Hwpat_core.Blur_system.Pattern ()
+  in
+  let m = Hwpat_obs.Metrics.create () in
+  check_proved "blur vs optimised" (Equiv.check ~metrics:m c (Optimize.circuit c));
+  let props = Hwpat_obs.Metrics.counter_value m "solver.propagations" in
+  if props * 2 > blast_blur_propagations then
+    Alcotest.failf
+      "blur proof spent %d solver propagations; the bound is half of the \
+       frozen %d"
+      props blast_blur_propagations
+
 let test_optimize_run_verify_hook () =
   let c, _ = Netgen.build_random_circuit ~seed:7 in
   (* The rtl-side hook with the formal checker plugged in. *)
@@ -355,92 +376,179 @@ let test_port_conventions () =
 
 (* --- Structural hashing --------------------------------------------------- *)
 
-(* Drive the original and its strash-rewritten form in lockstep under
-   Cyclesim on deterministic random stimulus, diffing every output
-   port after every cycle.  This pins {!Strash.rewrite} — and with it
-   the whole hash-consing/rewrite algebra the strash proof engine is
-   built on — to the simulator's cycle-accurate semantics. *)
-let lockstep_compare what a b ~cycles ~seed =
-  let port_set l = List.sort compare (List.map (fun (n, s) -> (n, width s)) l) in
-  Alcotest.(check (list (pair string int)))
-    (what ^ ": input ports preserved")
-    (port_set (Circuit.inputs a))
-    (port_set (Circuit.inputs b));
-  Alcotest.(check (list (pair string int)))
-    (what ^ ": output ports preserved")
-    (port_set (Circuit.outputs a))
-    (port_set (Circuit.outputs b));
+(* Solve with every leaf pinned to a concrete value: the model then
+   fixes every literal built over those leaves. *)
+let pin_leaves st pins =
+  let assumptions =
+    List.concat_map
+      (fun (lits, v) ->
+        List.init (Array.length lits) (fun i ->
+            let l = Strash.to_solver_lit st lits.(i) in
+            if Bits.bit v i then l else -l))
+      pins
+  in
+  match Solver.solve ~assumptions (Strash.solver st) with
+  | Solver.Sat -> ()
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "pinned leaves not satisfiable"
+
+(* One symbolic frame over fresh input and state leaves, evaluated in
+   lockstep with Cyclesim: every cycle pins the leaves to the stimulus
+   and to the simulator's pre-edge state, then diffs every output
+   against the simulator's settled value and every next-state vector
+   against its post-edge state.  Cyclesim is the independent oracle of
+   the prover's one frame encoder — its rewrite rules, its CNF emission
+   and its memory/register semantics alike. *)
+let frame_lockstep what c ~cycles ~seed =
+  let st = Strash.create (Solver.create ()) in
+  let elts = Strash.state_elements c in
+  let inputs =
+    List.map
+      (fun (n, s) -> (n, Strash.fresh_vector st (width s)))
+      (Circuit.inputs c)
+  in
+  let state =
+    Array.map (fun e -> Strash.fresh_vector st (Strash.elt_width e)) elts
+  in
+  let f =
+    Strash.frame st c
+      ~inputs:(fun n -> List.assoc n inputs)
+      ~state:(fun i -> state.(i))
+  in
+  (* Emit every probed cone, so the values below come from the CNF. *)
+  let emit = Array.iter (fun l -> ignore (Strash.to_solver_lit st l)) in
+  List.iter (fun (_, v) -> emit v) f.Strash.outputs;
+  Array.iter emit f.Strash.next;
+  let sim = Cyclesim.create c in
+  let sim_state e =
+    match e with
+    | Strash.Reg_state s | Strash.Read_state s -> Cyclesim.peek_state sim s
+    | Strash.Mem_word (m, i) -> (Cyclesim.memory_contents sim m).(i)
+  in
   let rng = Random.State.make [| 0x5ee0 + seed |] in
-  let sim_a = Cyclesim.create a and sim_b = Cyclesim.create b in
-  let inputs = List.map (fun (n, s) -> (n, width s)) (Circuit.inputs a) in
   for cycle = 1 to cycles do
+    let stimulus =
+      List.map
+        (fun (n, lits) ->
+          let w = Array.length lits in
+          (n, lits, Bits.of_int ~width:w (Random.State.int rng (1 lsl min w 30))))
+        inputs
+    in
+    pin_leaves st
+      (List.map (fun (_, lits, v) -> (lits, v)) stimulus
+      @ Array.to_list (Array.mapi (fun i e -> (state.(i), sim_state e)) elts));
+    List.iter (fun (n, _, v) -> Cyclesim.drive sim n v) stimulus;
+    Cyclesim.cycle sim;
+    let expect kind got want =
+      if not (Bits.equal got want) then
+        Alcotest.failf "%s: %s diverges at cycle %d (frame %s, Cyclesim %s)"
+          what kind cycle (Bits.to_string got) (Bits.to_string want)
+    in
     List.iter
-      (fun (n, w) ->
-        let v = Bits.of_int ~width:w (Random.State.int rng (1 lsl min w 30)) in
-        Cyclesim.drive sim_a n v;
-        Cyclesim.drive sim_b n v)
-      inputs;
-    Cyclesim.cycle sim_a;
-    Cyclesim.cycle sim_b;
-    List.iter
-      (fun (n, _) ->
-        let va = !(Cyclesim.out_port sim_a n)
-        and vb = !(Cyclesim.out_port sim_b n) in
-        if not (Bits.equal va vb) then
-          Alcotest.failf "%s: output %s diverges at cycle %d (%s vs %s)" what n
-            cycle (Bits.to_string va) (Bits.to_string vb))
-      (Circuit.outputs a)
+      (fun (n, v) ->
+        expect ("output " ^ n) (Strash.model_bits st v) !(Cyclesim.out_port sim n))
+      f.Strash.outputs;
+    Array.iteri
+      (fun i e ->
+        expect (Strash.elt_label e)
+          (Strash.model_bits st f.Strash.next.(i))
+          (sim_state e))
+      elts
   done
 
-let test_strash_rewrite_differential () =
+let test_strash_frame_lockstep () =
   List.iter
-    (fun (what, c) -> lockstep_compare what c (Strash.rewrite c) ~cycles:200 ~seed:1)
+    (fun (what, c) -> frame_lockstep what c ~cycles:200 ~seed:1)
     (paper_designs ());
   for seed = 1 to 40 do
     let c, _ = Netgen.build_random_circuit ~seed in
-    lockstep_compare
-      (Printf.sprintf "netgen seed %d" seed)
-      c (Strash.rewrite c) ~cycles:64 ~seed
+    frame_lockstep (Printf.sprintf "netgen seed %d" seed) c ~cycles:64 ~seed
   done
 
-(* The blast and strash engines must return the same verdicts — on
-   equivalent pairs, on a sequentially-divergent pair (both sides'
-   counterexamples replay through Equiv's internal confirmation), and
-   on a combinational miter. *)
-let test_equiv_strash_parity () =
-  List.iter
-    (fun seed ->
-      let c, _ = Netgen.build_random_circuit ~seed in
-      let o = Optimize.circuit c in
-      check_proved (Printf.sprintf "seed %d (strash)" seed) (Equiv.check c o);
-      check_proved
-        (Printf.sprintf "seed %d (blast)" seed)
-        (Equiv.check ~strash:false c o))
-    [ 3; 11; 27 ];
-  let good = counter_circuit ~broken:false in
-  let bad = counter_circuit ~broken:true in
-  List.iter
-    (fun strash ->
-      let engine = if strash then "strash" else "blast" in
-      match Equiv.check ~strash good bad with
-      | Equiv.Counterexample cex ->
-        if List.length cex < 12 then
-          Alcotest.failf "%s cex too short (%d cycles)" engine
-            (List.length cex)
-      | Equiv.Proved ->
-        Alcotest.failf "%s: mutated counter reported equivalent" engine
-      | Equiv.Unknown why -> Alcotest.failf "%s: undecided (%s)" engine why)
-    [ true; false ];
-  let x = input "x" 4 and y = input "y" 4 in
-  let add = Circuit.create_exn ~name:"add" [ ("s", x +: y) ] in
-  let x' = input "x" 4 and y' = input "y" 4 in
-  let orr = Circuit.create_exn ~name:"orr" [ ("s", x' |: y') ] in
-  List.iter
-    (fun strash ->
-      match Equiv.check ~strash add orr with
-      | Equiv.Counterexample [ _ ] -> ()
-      | _ -> Alcotest.fail "combinational miter parity broken")
-    [ true; false ]
+(* The gate constructors against their truth tables, exhaustively over
+   a pool of small functions of three leaves: the leaves, their
+   complements, both constants, and one level of [sand]/[sxor]/[smux]
+   over those.  Every [sand]/[sor]/[sxor]/[smux] application over the
+   pool is evaluated under all eight leaf assignments.  A truth table is
+   an 8-bit mask whose bit [k] is the value under assignment [k] (leaf
+   [i] is bit [i] of [k]).  Each rewrite rule fires on one operand
+   pattern, which the lockstep suite above may never produce; this
+   test produces them all. *)
+let test_strash_gate_algebra () =
+  let st = Strash.create (Solver.create ()) in
+  let leaves = Array.init 3 (fun _ -> Strash.fresh st) in
+  let leaf_tt = [| 0xaa; 0xcc; 0xf0 |] in
+  let tnot a = lnot a land 0xff in
+  let tmux c d1 d0 = (c land d1) lor (tnot c land d0) in
+  let base =
+    List.concat
+      (List.init 3 (fun i ->
+           [ (leaves.(i), leaf_tt.(i)); (Strash.snot leaves.(i), tnot leaf_tt.(i)) ]))
+    @ [ (Strash.lit_true, 0xff); (Strash.lit_false, 0) ]
+  in
+  let level =
+    List.concat_map
+      (fun (a, ta) ->
+        List.concat_map
+          (fun (b, tb) ->
+            (Strash.sand st a b, ta land tb)
+            :: (Strash.sxor st a b, ta lxor tb)
+            :: List.map (fun (c, tc) -> (Strash.smux st a b c, tmux ta tb tc)) base)
+          base)
+      base
+  in
+  let pool = Array.of_list (List.sort_uniq compare (base @ level)) in
+  let apply f =
+    Array.iter
+      (fun (a, ta) ->
+        Array.iter
+          (fun (b, tb) ->
+            f (Strash.sand st a b) (ta land tb);
+            f (Strash.sor st a b) (ta lor tb);
+            f (Strash.sxor st a b) (ta lxor tb);
+            Array.iter (fun (c, tc) -> f (Strash.smux st a b c) (tmux ta tb tc)) pool)
+          pool)
+      pool
+  in
+  (* Pass 1 builds every application; then the distinct results are
+     evaluated under each assignment. *)
+  let actual = Hashtbl.create 4096 in
+  Array.iter (fun (l, _) -> Hashtbl.replace actual l 0) pool;
+  apply (fun l _ -> Hashtbl.replace actual l 0);
+  let lits = Hashtbl.fold (fun l _ acc -> l :: acc) actual [] in
+  for k = 0 to 7 do
+    pin_leaves st
+      (List.init 3 (fun i -> ([| leaves.(i) |], Bits.of_int ~width:1 ((k lsr i) land 1))));
+    List.iter
+      (fun l ->
+        if Strash.value st l then
+          Hashtbl.replace actual l (Hashtbl.find actual l lor (1 lsl k)))
+      lits
+  done;
+  let check what l want =
+    let got = Hashtbl.find actual l in
+    if got <> want then
+      Alcotest.failf "%s: literal %d has truth table %02x, expected %02x" what l got want
+  in
+  Array.iter (fun (l, t) -> check "pool" l t) pool;
+  (* Pass 2 rebuilds every application: hash-consing must hand back the
+     existing nodes, so no node is created, and each result must match
+     the truth table of its operands. *)
+  let nodes = Strash.num_nodes st in
+  apply (fun l t ->
+      match Hashtbl.find_opt actual l with
+      | Some _ -> check "application" l t
+      | None -> Alcotest.failf "rebuilt application returned new literal %d" l);
+  Alcotest.(check int) "rebuilding creates no node" nodes (Strash.num_nodes st);
+  (* Canonical operand order: commuted operands share one node. *)
+  Array.iter
+    (fun (a, _) ->
+      Array.iter
+        (fun (b, _) ->
+          Alcotest.(check int) "sand commutes" (Strash.sand st a b) (Strash.sand st b a);
+          Alcotest.(check int) "sxor commutes" (Strash.sxor st a b) (Strash.sxor st b a))
+        pool)
+    pool;
+  Alcotest.(check int) "commuting creates no node" nodes (Strash.num_nodes st)
 
 (* --- Stats merge exactly once --------------------------------------------- *)
 
@@ -693,10 +801,10 @@ let () =
         ] );
       ( "strash",
         [
-          Alcotest.test_case "rewrite is cycle-accurate (43 circuits)" `Slow
-            test_strash_rewrite_differential;
-          Alcotest.test_case "blast and strash verdicts agree" `Slow
-            test_equiv_strash_parity;
+          Alcotest.test_case "frame matches Cyclesim (43 circuits)" `Slow
+            test_strash_frame_lockstep;
+          Alcotest.test_case "gate algebra matches truth tables" `Quick
+            test_strash_gate_algebra;
         ] );
       ( "portfolio",
         [
@@ -721,6 +829,8 @@ let () =
             test_port_conventions;
           Alcotest.test_case "pruned containers equal full models" `Slow
             test_pruned_container_equivalence;
+          Alcotest.test_case "blur proof under the propagation bound" `Slow
+            test_equiv_blur_propagation_bound;
         ] );
       ( "bmc",
         [
