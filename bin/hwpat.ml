@@ -608,21 +608,15 @@ let budget_conv =
   in
   Arg.conv (parse, print)
 
-let prove smoke jobs json budget portfolio checkpoint resume retries
-    shard_timeout trace_path metrics_path =
+let prove smoke jobs json budget checkpoint resume retries shard_timeout
+    trace_path metrics_path =
   let jobs = resolve_jobs jobs in
   let policy = resolve_resilience ~checkpoint ~resume ~retries ~shard_timeout in
-  (match portfolio with
-  | Some n when n < 2 || n > Hwpat_formal.Portfolio.max_racers ->
-    failwith
-      (Printf.sprintf "--portfolio must be 2..%d (got %d)"
-         Hwpat_formal.Portfolio.max_racers n)
-  | _ -> ());
   with_obs trace_path metrics_path @@ fun ~trace ~metrics ->
   with_sigint @@ fun cancel ->
   let results =
     Hwpat_core.Prove.run ~trace ~metrics ~jobs ~policy ~cancel ?checkpoint
-      ~resume ~budget ~smoke ?portfolio ()
+      ~resume ~budget ~smoke ()
   in
   print_string (Hwpat_core.Prove.summary results);
   (match json with
@@ -661,19 +655,6 @@ let prove_cmd =
              'unknown' verdict instead of running unbounded. 0 means \
              unlimited.")
   in
-  let portfolio =
-    Arg.(
-      value
-      & opt ~vopt:(Some 3) (some int) None
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race each obligation under $(docv) solver configurations \
-             (2..4, default 3 when the flag is given bare) through an \
-             escalating ladder of deterministic operation budgets; the \
-             first definitive answer wins, ties broken by configuration \
-             order, so results are identical across runs and $(b,--jobs) \
-             settings.")
-  in
   Cmd.v
     (Cmd.info "prove"
        ~doc:
@@ -681,9 +662,8 @@ let prove_cmd =
           paper designs, SAT equivalence of optimised and pruned variants; \
           exits non-zero if any obligation fails or is unknown")
     Term.(
-      const prove $ smoke $ jobs_arg $ json $ budget $ portfolio
-      $ checkpoint_arg $ resume_arg $ retries_arg $ shard_timeout_arg
-      $ trace_arg $ metrics_arg)
+      const prove $ smoke $ jobs_arg $ json $ budget $ checkpoint_arg
+      $ resume_arg $ retries_arg $ shard_timeout_arg $ trace_arg $ metrics_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 

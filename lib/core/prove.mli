@@ -42,7 +42,6 @@ val run :
   ?resume:bool ->
   ?budget:Hwpat_formal.Solver.budget ->
   ?smoke:bool ->
-  ?portfolio:int ->
   unit ->
   result list
 (** Runs the battery ([smoke] defaults to false) across [jobs] domains
@@ -63,18 +62,6 @@ val run :
     [budget] caps each SAT solve inside every obligation
     (deterministically — operation counts, not wall clock); tripped
     obligations score [unknown] with an [unknown: ...] status.
-
-    [portfolio] (2–4, see {!Hwpat_formal.Portfolio}) races each
-    obligation under that many solver configurations through an
-    escalating ladder of operation-count budgets, first definitive
-    answer wins with ties broken by (round, racer index).  Because
-    the round budgets are operation counts, the winning racer — and
-    therefore every reported status — is identical across runs and
-    job counts.  With a [budget] the ladder is capped at exactly that
-    budget, so an obligation no racer can decide reports the same
-    budget-exhausted [unknown: ...] status the single-solver path
-    would.  Racer wins are counted under
-    [prove.portfolio.win.<label>].
 
     [trace] (default disabled) records one span per obligation on its
     worker domain's lane, with the {!Hwpat_formal.Equiv} /

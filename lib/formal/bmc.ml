@@ -131,8 +131,7 @@ let confirm_on_sim extended ~bad_name ~at trace =
          bad_name)
 
 let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
-    ?(budget = Solver.no_budget) ?interrupt ?(depth = 20) ?solver_config
-    circuit properties =
+    ?(budget = Solver.no_budget) ?interrupt ?(depth = 20) circuit properties =
   List.iter
     (fun p ->
       if Signal.width p.bad <> 1 then
@@ -147,7 +146,7 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
         @ List.map (fun p -> (bad_output_name p, p.bad)) properties)
     in
     let elts = Strash.state_elements extended in
-    let solver = Solver.create ?config:solver_config () in
+    let solver = Solver.create () in
     let sh = Strash.create solver in
     (* Stats merge exactly once per solver instance: a check the
        [interrupt] hook abandons (a supervision watchdog about to
@@ -235,8 +234,7 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
           search)
   end
 
-let check_auto ?trace ?metrics ?budget ?interrupt ?depth ?solver_config circuit
-    =
+let check_auto ?trace ?metrics ?budget ?interrupt ?depth circuit =
   match derive_properties circuit with
   | [] ->
     invalid_arg
@@ -245,8 +243,7 @@ let check_auto ?trace ?metrics ?budget ?interrupt ?depth ?solver_config circuit
          (Circuit.name circuit))
   | properties -> (
     match
-      check ?trace ?metrics ?budget ?interrupt ?depth ?solver_config circuit
-        properties
+      check ?trace ?metrics ?budget ?interrupt ?depth circuit properties
     with
     | Holds d -> Holds d
     | Unknown _ as r -> r

@@ -48,16 +48,14 @@ val check :
   ?budget:Solver.budget ->
   ?interrupt:(unit -> unit) ->
   ?depth:int ->
-  ?solver_config:Solver.config ->
   Circuit.t ->
   property list ->
   result
 (** Unroll from the power-on state and search each frame for a
     violated property. Default [depth = 20] frames.  Frames are
     encoded through {!Strash}, so structure repeated across the
-    unrolling is blasted once.  [solver_config] sets the solver's
-    search strategy (the portfolio racer knob).  [budget] (default unlimited) caps each per-frame
-    solve; on exhaustion the result is an honest [Unknown] —
+    unrolling is blasted once.  [budget] (default unlimited) caps each
+    per-frame solve; on exhaustion the result is an honest [Unknown] —
     deterministically, since the caps count solver operations rather
     than wall clock.  [interrupt] is polled from inside SAT search and
     may raise to abandon the check.  [trace] records one [bmc] span;
@@ -72,7 +70,6 @@ val check_auto :
   ?budget:Solver.budget ->
   ?interrupt:(unit -> unit) ->
   ?depth:int ->
-  ?solver_config:Solver.config ->
   Circuit.t ->
   result
 (** [check] over [derive_properties]; raises [Invalid_argument] if the

@@ -610,7 +610,7 @@ let prove_by_induction ctx ~solve ~classes ~bmc_depth ~max_induction
 
 let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
     ?(budget = Solver.no_budget) ?interrupt ?(bmc_depth = 24)
-    ?(max_induction = 20) ?(sim_cycles = 48) ?solver_config a b =
+    ?(max_induction = 20) ?(sim_cycles = 48) a b =
   let module Trace = Hwpat_obs.Trace in
   let solvers = ref [] in
   let register s =
@@ -650,7 +650,7 @@ let check ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
     let stateless =
       Array.length plan.elts_a = 0 && Array.length plan.elts_b = 0
     in
-    let solver = register (Solver.create ?config:solver_config ()) in
+    let solver = register (Solver.create ()) in
     let sh = Strash.create solver in
     let sweep = bmc_sweep ~solve sh plan in
     let sweep ~depth =

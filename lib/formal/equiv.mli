@@ -41,7 +41,6 @@ val check :
   ?bmc_depth:int ->
   ?max_induction:int ->
   ?sim_cycles:int ->
-  ?solver_config:Solver.config ->
   Circuit.t ->
   Circuit.t ->
   result
@@ -57,9 +56,6 @@ val check :
     are blasted.  One solver carries the whole check, so clauses
     learned during the BMC sweep prune the induction and so on down
     the ladder.
-
-    [solver_config] (default {!Solver.default_config}) sets the
-    search strategy of that solver — the portfolio racer knob.
 
     [budget] (default unlimited) caps every individual solve call in
     the proof; on exhaustion the check stops and returns an honest

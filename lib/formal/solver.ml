@@ -11,19 +11,13 @@ type budget = { max_conflicts : int; max_propagations : int }
 
 let no_budget = { max_conflicts = 0; max_propagations = 0 }
 
-(* Search-strategy knobs. Every field is deterministic (operation
-   counts and exact float arithmetic, no wall clock), so two solvers
-   with the same config replay identically — the portfolio racer
-   contract. *)
-type config = {
-  restart_base : int;
-  restart_factor : float;
-  decay : float;
-  init_phase : bool;
-}
-
-let default_config =
-  { restart_base = 100; restart_factor = 1.5; decay = 0.95; init_phase = false }
+(* Search strategy. Restart pacing and activity decay are exact
+   arithmetic on operation counts (no wall clock), so the same instance
+   replays the same search in every run. *)
+let restart_base = 100 (* conflicts before the first restart *)
+let restart_factor = 1.5 (* geometric growth of the restart interval *)
+let decay = 0.95 (* VSIDS activity decay (var bump divisor) *)
+let init_phase = false (* initial saved phase of every variable *)
 
 type clause = int array
 
@@ -44,7 +38,6 @@ module Cvec = struct
 end
 
 type t = {
-  config : config;
   mutable scopes : int list; (* activation vars of open scopes, innermost first *)
   mutable n_vars : int;
   mutable cap : int; (* current capacity of the per-var arrays *)
@@ -164,7 +157,7 @@ let grow s =
     Array.init (cap + 1) (fun i -> if i <= s.cap then s.activity.(i) else 0.);
   s.polarity <-
     Array.init (cap + 1) (fun i ->
-        if i <= s.cap then s.polarity.(i) else s.config.init_phase);
+        if i <= s.cap then s.polarity.(i) else init_phase);
   s.seen <- Array.make (cap + 1) false;
   s.heap <- copy_int s.heap;
   s.trail <- copy_int s.trail;
@@ -355,11 +348,10 @@ let record s learnt btlevel =
 
 (* --- Top level ----------------------------------------------------------- *)
 
-let create ?(config = default_config) () =
+let create () =
   let cap = 16 in
   let s =
     {
-      config;
       scopes = [];
       n_vars = 0;
       cap;
@@ -367,7 +359,7 @@ let create ?(config = default_config) () =
       level = Array.make (cap + 1) 0;
       reason = Array.make (cap + 1) None;
       activity = Array.make (cap + 1) 0.;
-      polarity = Array.make (cap + 1) config.init_phase;
+      polarity = Array.make (cap + 1) init_phase;
       seen = Array.make (cap + 1) false;
       heap = Array.make (cap + 1) 0;
       heap_size = 0;
@@ -460,7 +452,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?interrupt s =
        ahead of the caller's own. *)
     let assumps = Array.of_list (List.rev_append s.scopes assumptions) in
     let n_assumps = Array.length assumps in
-    let restart_limit = ref s.config.restart_base in
+    let restart_limit = ref restart_base in
     let conflicts = ref 0 in
     let result = ref None in
     (* Budget caps count work done by *this* call, so a budget-limited
@@ -500,13 +492,13 @@ let solve ?(assumptions = []) ?(budget = no_budget) ?interrupt s =
         else begin
           let learnt, btlevel = analyze s confl in
           record s learnt btlevel;
-          s.var_inc <- s.var_inc /. s.config.decay;
+          s.var_inc <- s.var_inc /. decay;
           if !conflicts >= !restart_limit then begin
             conflicts := 0;
             restart_limit :=
               max (!restart_limit + 1)
                 (int_of_float
-                   (float_of_int !restart_limit *. s.config.restart_factor));
+                   (float_of_int !restart_limit *. restart_factor));
             s.restarts_total <- s.restarts_total + 1;
             cancel_until s 0
           end

@@ -8,6 +8,13 @@
     invariants) are propagation-dominated, so the classic algorithm
     with no clause-database reduction is plenty.
 
+    The search configuration is fixed: the first restart after 100
+    conflicts, each later interval 1.5 times the last, VSIDS activity
+    decay 0.95, and every variable's saved phase initially false.
+    Restart pacing and decay are exact arithmetic on operation counts,
+    never wall clock, so an instance replays the same search in every
+    run, process and job count.
+
     Literals follow the DIMACS convention: a variable is a positive
     integer and its negation is the negative integer. The solver is
     incremental: clauses may be added between [solve] calls and
@@ -33,24 +40,7 @@ type budget = { max_conflicts : int; max_propagations : int }
 val no_budget : budget
 (** Both caps unlimited (the default). *)
 
-(** {1 Search-strategy configuration}
-
-    The portfolio racer knobs.  Every field is deterministic — restart
-    pacing and activity decay are exact arithmetic on operation counts,
-    never wall clock — so a given (instance, config) pair replays the
-    same search in every run, process and job count. *)
-type config = {
-  restart_base : int;  (** conflicts before the first restart *)
-  restart_factor : float;  (** geometric growth of the restart interval *)
-  decay : float;  (** VSIDS activity decay (var bump divisor), in (0,1] *)
-  init_phase : bool;  (** initial saved phase of every variable *)
-}
-
-val default_config : config
-(** [{restart_base = 100; restart_factor = 1.5; decay = 0.95;
-    init_phase = false}] — the historical behaviour. *)
-
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val new_var : t -> lit
 (** Fresh variable, returned as its positive literal. *)

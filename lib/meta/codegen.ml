@@ -38,6 +38,11 @@ let method_names cfg =
     @ (if has_op cfg Write then [ "insert"; "delete" ] else [])
     @ [ "size" ]
 
+(* Whether the entity declares the method strobe [m] (e.g. "m_pop").
+   Every template line that reads a strobe is guarded by this, so a
+   pruned entity never references a port it does not declare. *)
+let has_method cfg m = List.exists (fun n -> "m_" ^ n = m) (method_names cfg)
+
 let size_width cfg = Hwpat_rtl.Util.bits_to_represent cfg.Config.depth
 
 (* Error outputs of the generated protection hardware (§Config.parity /
@@ -198,18 +203,16 @@ let fifo_arch cfg =
   let open Metamodel in
   (match cfg.Config.kind with
   | Read_buffer | Queue | Stack ->
-    if has_op cfg Read then begin
-      Buffer.add_string buf (Printf.sprintf "  %s <= m_pop;\n" read_sig);
-      Buffer.add_string buf "  r_data <= p_data;\n";
-      Buffer.add_string buf "  r_ack <= m_pop and not p_empty;\n"
-    end
+    let pop = has_method cfg "m_pop" in
+    if pop then Buffer.add_string buf (Printf.sprintf "  %s <= m_pop;\n" read_sig);
+    if has_op cfg Read then Buffer.add_string buf "  r_data <= p_data;\n";
+    if pop then Buffer.add_string buf "  r_ack <= m_pop and not p_empty;\n"
   | Write_buffer | Vector | Assoc_array -> ());
   (match cfg.Config.kind with
   | Write_buffer | Queue | Stack ->
-    if has_op cfg Write then begin
+    if has_method cfg "m_push" then
       Buffer.add_string buf (Printf.sprintf "  %s <= m_push;\n" write_sig);
-      Buffer.add_string buf "  p_din <= a_data;\n"
-    end
+    if has_op cfg Write then Buffer.add_string buf "  p_din <= a_data;\n"
   | Read_buffer | Vector | Assoc_array -> ());
   Buffer.add_string buf "  r_empty <= p_empty;\n";
   Buffer.add_string buf "  r_full <= p_full;\n";
@@ -337,7 +340,7 @@ let sram_arch cfg =
     "  process (clk)\n  begin\n    if rising_edge(clk) then\n      case state is\n";
   Buffer.add_string buf "        when st_idle =>\n";
   let open Metamodel in
-  if has_op cfg Read then
+  if has_method cfg (read_method cfg) then
     Buffer.add_string buf
       (Printf.sprintf
          "          if %s = '1' and count /= 0 then\n\
@@ -345,7 +348,7 @@ let sram_arch cfg =
        \            p_addr <= std_logic_vector(ptr_begin);\n\
        \            state <= st_access;\n\
        \          end if;\n" (read_method cfg));
-  if has_op cfg Write && cfg.Config.kind <> Read_buffer then
+  if has_method cfg (write_method cfg) then
     Buffer.add_string buf
       (Printf.sprintf
          "          if %s = '1' and count /= to_unsigned(%d, count'length) then\n\
@@ -397,7 +400,7 @@ let bram_arch cfg =
   Buffer.add_string buf
     "  process (clk)\n  begin\n    if rising_edge(clk) then\n";
   let open Metamodel in
-  if has_op cfg Read then
+  if has_method cfg (read_method cfg) then
     Buffer.add_string buf
       (Printf.sprintf
          "      if %s = '1' and count /= 0 then\n\
@@ -406,7 +409,7 @@ let bram_arch cfg =
        \        count <= count - 1;\n\
        \        r_ack <= '1';\n\
        \      end if;\n" (read_method cfg));
-  if has_op cfg Write && cfg.Config.kind <> Read_buffer then
+  if has_method cfg (write_method cfg) then
     Buffer.add_string buf
       (Printf.sprintf
          "      if %s = '1' then\n\
@@ -426,13 +429,15 @@ let linebuf_arch cfg =
   Printf.sprintf
     "architecture generated of %s is\nbegin\n\
      \  -- 3-line buffer presents a 3-pixel column per access\n\
-     \  p_advance <= m_pop;\n\
-     \  r_data <= p_top & p_mid & p_bot;\n\
+     %s%s\
      \  r_ack <= p_valid;\n\
      \  r_empty <= not p_valid;\n\
      \  r_full <= '0';\n\
      \  r_size <= (others => '0');\nend generated;\n"
     name
+    (if has_method cfg "m_pop" then "  p_advance <= m_pop;\n" else "")
+    (if has_op cfg Metamodel.Read then "  r_data <= p_top & p_mid & p_bot;\n"
+     else "")
 
 (* Vector: direct addressing, no pointers. Over block RAM the access
    is single-cycle; over SRAM it rides the req/ack handshake. *)
@@ -507,13 +512,18 @@ let assoc_arch cfg =
   Buffer.add_string buf "begin\n";
   Buffer.add_string buf
     "  process (clk)\n  begin\n    if rising_edge(clk) then\n      case state is\n";
-  Buffer.add_string buf
-    "        when st_idle =>\n\
-     \          if m_lookup = '1' or m_insert = '1' or m_delete = '1' then\n\
-     \            probe_addr <= unsigned(a_key(probe_addr'range));\n\
-     \            probe_cnt <= (others => '0');\n\
-     \            state <= st_probe;\n\
-     \          end if;\n";
+  Buffer.add_string buf "        when st_idle =>\n";
+  (match List.filter (has_method cfg) [ "m_lookup"; "m_insert"; "m_delete" ] with
+  | [] -> Buffer.add_string buf "          null; -- every probing method pruned\n"
+  | strobes ->
+    Buffer.add_string buf
+      (Printf.sprintf
+         "          if %s then\n\
+          \            probe_addr <= unsigned(a_key(probe_addr'range));\n\
+          \            probe_cnt <= (others => '0');\n\
+          \            state <= st_probe;\n\
+          \          end if;\n"
+         (String.concat " or " (List.map (fun m -> m ^ " = '1'") strobes))));
   Buffer.add_string buf
     "        when st_probe =>\n\
      \          -- read the slot, compare key / slot state, advance or decide\n\
@@ -640,20 +650,14 @@ let iterator_architecture cfg =
   Buffer.add_string buf "begin\n  -- a pure wrapper: renames signals only\n";
   let open Metamodel in
   (match cfg.Config.kind with
-  | Read_buffer | Queue | Stack ->
-    if has_op cfg Read then begin
+  | Read_buffer | Queue | Stack | Write_buffer ->
+    if has_method cfg "m_pop" then
       Buffer.add_string buf "  c_m_pop <= it_read and it_inc;\n";
-      Buffer.add_string buf "  it_data <= c_r_data;\n"
-    end;
-    if has_op cfg Write && cfg.Config.kind <> Read_buffer then begin
+    if has_op cfg Read then Buffer.add_string buf "  it_data <= c_r_data;\n";
+    if has_method cfg "m_push" then
       Buffer.add_string buf "  c_m_push <= it_write and it_inc;\n";
+    if has_op cfg Write && cfg.Config.kind <> Read_buffer then
       Buffer.add_string buf "  c_a_data <= it_wdata;\n"
-    end
-  | Write_buffer ->
-    if has_op cfg Write then begin
-      Buffer.add_string buf "  c_m_push <= it_write and it_inc;\n";
-      Buffer.add_string buf "  c_a_data <= it_wdata;\n"
-    end
   | Vector | Assoc_array ->
     Buffer.add_string buf "  -- random iterator: position register elsewhere\n");
   Buffer.add_string buf "  it_ack <= c_r_ack;\nend generated;\n";

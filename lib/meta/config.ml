@@ -22,6 +22,9 @@ let make ?bus_width ?addr_width ?ops_used ?(wait_states = 1) ?(parity = false)
     | Some w -> w
     | None -> Hwpat_rtl.Util.address_bits depth
   in
+  if bus_width < 1 then invalid_arg "Config.make: bus_width must be >= 1";
+  if addr_width < 1 then invalid_arg "Config.make: addr_width must be >= 1";
+  if wait_states < 0 then invalid_arg "Config.make: wait_states must be >= 0";
   if elem_width mod bus_width <> 0 then
     invalid_arg "Config.make: elem_width must be a multiple of bus_width";
   if not (List.mem target (Metamodel.legal_targets kind)) then

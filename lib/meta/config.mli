@@ -34,11 +34,13 @@ val make :
     [depth], [ops_used] = every operation the container supports,
     [wait_states = 1], no protection hardware.
 
-    Raises [Invalid_argument] if the target is not legal for the
-    container kind (per {!Metamodel.legal_targets}), if an operation in
-    [ops_used] is not supported by the kind, if [elem_width] is not
-    a multiple of [bus_width], or if a requested protection is not
-    legal for the target (per {!Metamodel.legal_protections}). *)
+    Raises [Invalid_argument] if [elem_width], [depth], [bus_width]
+    or [addr_width] is below 1 or [wait_states] below 0, if the target
+    is not legal for the container kind (per
+    {!Metamodel.legal_targets}), if an operation in [ops_used] is not
+    supported by the kind, if [elem_width] is not a multiple of
+    [bus_width], or if a requested protection is not legal for the
+    target (per {!Metamodel.legal_protections}). *)
 
 val protected : t -> bool
 (** True when any protection hardware is configured. *)

@@ -184,19 +184,11 @@ let test_solver_scope_keeps_learning () =
     true
     (after - inside <= inside)
 
-(* A configuration must replay bit-identically: same instance, same
-   config, same operation counts. *)
-let test_solver_config_replay_stable () =
-  let agile =
-    {
-      Solver.restart_base = 50;
-      restart_factor = 1.2;
-      decay = 0.90;
-      init_phase = false;
-    }
-  in
-  let one config =
-    let s = Solver.create ~config () in
+(* The search must replay bit-identically: same instance, same
+   operation counts. *)
+let test_solver_replay_stable () =
+  let one () =
+    let s = Solver.create () in
     let v = Array.init 6 (fun _ -> Array.init 5 (fun _ -> Solver.new_var s)) in
     for p = 0 to 5 do
       Solver.add_clause s (Array.to_list v.(p))
@@ -215,11 +207,7 @@ let test_solver_config_replay_stable () =
     (st.Solver.conflicts, st.Solver.propagations, st.Solver.decisions)
   in
   Alcotest.(check (triple int int int))
-    "agile config replays identically" (one agile) (one agile);
-  Alcotest.(check (triple int int int))
-    "default config replays identically"
-    (one Solver.default_config)
-    (one Solver.default_config)
+    "pigeonhole replays identically" (one ()) (one ())
 
 (* --- Optimizer equivalence ----------------------------------------------- *)
 
@@ -591,49 +579,6 @@ let test_stats_merge_once_on_retry () =
         (Hwpat_obs.Metrics.counter_value m key))
     [ "decisions"; "conflicts"; "propagations"; "learned"; "sat"; "unsat" ]
 
-(* --- Portfolio ingredients ------------------------------------------------ *)
-
-let test_portfolio_ingredients () =
-  (match Portfolio.racers ~n:1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "n=1 is not a race");
-  (match Portfolio.racers ~n:(Portfolio.max_racers + 1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "n beyond the racer table must be rejected");
-  let r = Portfolio.racers ~n:3 in
-  Alcotest.(check int) "three racers" 3 (List.length r);
-  Alcotest.(check bool)
-    "racer 0 is the default config" true
-    ((List.hd r).Portfolio.config = Solver.default_config);
-  List.iteri
-    (fun i racer ->
-      Alcotest.(check int) "racer indices are positional" i
-        racer.Portfolio.index)
-    r;
-  (* Uncapped ladder ends unlimited; capped ladder ends at the cap. *)
-  let last l = List.nth l (List.length l - 1) in
-  Alcotest.(check bool)
-    "uncapped ladder ends unlimited" true
-    (last (Portfolio.rounds ~cap:Solver.no_budget) = Solver.no_budget);
-  let tiny = { Solver.max_conflicts = 1; max_propagations = 1 } in
-  Alcotest.(check bool)
-    "a tiny cap is the whole ladder" true
-    (Portfolio.rounds ~cap:tiny = [ tiny ]);
-  let mid = { Solver.max_conflicts = 50_000; max_propagations = 20_000_000 } in
-  let ladder = Portfolio.rounds ~cap:mid in
-  Alcotest.(check bool) "mid cap keeps lighter rounds" true
-    (List.length ladder > 1);
-  Alcotest.(check bool) "mid-capped ladder ends at the cap" true
-    (last ladder = mid);
-  Alcotest.(check bool)
-    "budget-exhausted statuses are indefinitive" true
-    (Portfolio.budget_limited
-       "unknown: solver budget exhausted at frame 3 (no violation in frames \
-        0..2)");
-  Alcotest.(check bool)
-    "structural give-ups are definitive" false
-    (Portfolio.budget_limited "unknown: k-induction inconclusive at k=24")
-
 (* --- Pruned containers --------------------------------------------------- *)
 
 let test_pruned_container_equivalence () =
@@ -796,8 +741,10 @@ let () =
           Alcotest.test_case "push/pop scopes" `Quick test_solver_push_pop;
           Alcotest.test_case "scopes keep learned clauses" `Quick
             test_solver_scope_keeps_learning;
-          Alcotest.test_case "configs replay bit-identically" `Quick
-            test_solver_config_replay_stable;
+          Alcotest.test_case "search replays bit-identically" `Quick
+            test_solver_replay_stable;
+          Alcotest.test_case "stats merge once across a retry" `Quick
+            test_stats_merge_once_on_retry;
         ] );
       ( "strash",
         [
@@ -805,13 +752,6 @@ let () =
             test_strash_frame_lockstep;
           Alcotest.test_case "gate algebra matches truth tables" `Quick
             test_strash_gate_algebra;
-        ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "racers, rounds and definitiveness" `Quick
-            test_portfolio_ingredients;
-          Alcotest.test_case "stats merge once across a retry" `Quick
-            test_stats_merge_once_on_retry;
         ] );
       ( "equivalence",
         [

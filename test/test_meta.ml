@@ -208,35 +208,75 @@ let test_iterator_is_wrapper () =
 
 (* --- Lint ------------------------------------------------------------ *)
 
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+    let s = subsets rest in
+    List.map (fun l -> x :: l) s @ s
+
+(* Every legal config: kind x target x width {8,16} x depth
+   {64,512,4096} x non-empty ops subset x (no protection, or one legal
+   protection) -- 2,166 in all.  Pruned subsets are where templates
+   once referenced method strobes the entity had pruned away. *)
 let all_configs =
   List.concat_map
     (fun kind ->
-      List.map
+      let instance_name =
+        String.map
+          (fun c -> if c = ' ' || c = '.' then '_' else c)
+          (Metamodel.container_name kind)
+      in
+      List.concat_map
         (fun target ->
-          Config.make
-            ~instance_name:(String.map (fun c -> if c = ' ' || c = '.' then '_' else c)
-                              (Metamodel.container_name kind))
-            ~kind ~target ~elem_width:8 ~depth:64 ())
+          let protections =
+            (false, None)
+            :: List.map
+                 (function
+                   | Metamodel.Parity -> (true, None)
+                   | Metamodel.Op_watchdog -> (false, Some 16))
+                 (Metamodel.legal_protections target)
+          in
+          List.concat_map
+            (fun elem_width ->
+              List.concat_map
+                (fun depth ->
+                  List.concat_map
+                    (fun ops_used ->
+                      List.map
+                        (fun (parity, op_timeout) ->
+                          Config.make ~instance_name ~kind ~target ~elem_width
+                            ~depth ~ops_used ~parity ?op_timeout ())
+                        protections)
+                    (List.filter (( <> ) [])
+                       (subsets (Metamodel.operations kind))))
+                [ 64; 512; 4096 ])
+            [ 8; 16 ])
         (Metamodel.legal_targets kind))
     Metamodel.all_containers
 
+let fail_lint cfg issues =
+  Alcotest.failf "%s: %s" (Config.describe cfg)
+    (String.concat "; " (List.map (fun i -> i.Vhdl_lint.message) issues))
+
 let test_all_generated_lint_clean () =
+  check_int "legal configs" 2166 (List.length all_configs);
   List.iter
     (fun cfg ->
       let text = Codegen.generate_container cfg in
-      let issues = Vhdl_lint.check text in
-      if issues <> [] then
-        Alcotest.failf "%s: %s" (Config.entity_name cfg)
-          (String.concat "; "
-             (List.map (fun i -> i.Vhdl_lint.message) issues)))
+      match
+        Vhdl_lint.check_protected ~parity:cfg.Config.parity
+          ~op_timeout:(cfg.Config.op_timeout <> None) text
+      with
+      | [] -> ()
+      | issues -> fail_lint cfg issues)
     all_configs
 
 let test_all_iterators_lint_clean () =
   List.iter
     (fun cfg ->
-      let text = Codegen.generate_iterator cfg in
-      if not (Vhdl_lint.is_clean text) then
-        Alcotest.failf "iterator for %s fails lint" (Config.entity_name cfg))
+      match Vhdl_lint.check (Codegen.generate_iterator cfg) with
+      | [] -> ()
+      | issues -> fail_lint cfg issues)
     all_configs
 
 let test_lint_catches_errors () =

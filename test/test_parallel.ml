@@ -370,36 +370,6 @@ let test_prove_jobs_deterministic () =
   Alcotest.(check bool) "smoke battery is non-empty" true (serial <> []);
   Alcotest.(check (list string)) "prove jobs:1 = jobs:4" serial (run 4)
 
-(* Satellite: the solver portfolio races obligations under several
-   configurations, but the winner is picked by deterministic
-   operation-count rounds — so the merged verdicts are identical at
-   any job count, and (on a battery where racer 0 is never outrun to
-   a *different* verdict) identical to the single-solver path too.
-   [seconds] is stripped as above. *)
-let test_prove_portfolio_deterministic () =
-  let fingerprint (r : Prove.result) =
-    Printf.sprintf "%s|%s|%b|%b|%s" r.Prove.name r.Prove.kind r.Prove.ok
-      r.Prove.unknown r.Prove.status
-  in
-  let run ?portfolio ?budget jobs =
-    List.map fingerprint (Prove.run ~smoke:true ~jobs ?portfolio ?budget ())
-  in
-  let serial = run ~portfolio:3 1 in
-  Alcotest.(check (list string))
-    "portfolio jobs:1 = jobs:4" serial (run ~portfolio:3 4);
-  Alcotest.(check (list string))
-    "portfolio verdicts = single-solver verdicts" (run 2) serial;
-  (* Capped so hard that no racer can answer: the portfolio must fall
-     back to the single-solver path's verbatim budget-exhausted
-     Unknowns (racer 0 wins the all-indefinitive final round). *)
-  let tiny =
-    { Hwpat_formal.Solver.max_conflicts = 1; max_propagations = 1 }
-  in
-  Alcotest.(check (list string))
-    "capped portfolio = capped single-solver"
-    (run ~budget:tiny 2)
-    (run ~portfolio:2 ~budget:tiny 2)
-
 (* Satellite: checkpoint/resume composed with plan sharing. A campaign
    killed mid-flight (journal truncated to the header plus five
    completed faults, final line torn) and resumed at jobs:4 must
@@ -563,8 +533,6 @@ let () =
             test_descriptions_rebuild_stable;
           Alcotest.test_case "prove jobs:1 = jobs:4" `Quick
             test_prove_jobs_deterministic;
-          Alcotest.test_case "portfolio prove is schedule-independent" `Quick
-            test_prove_portfolio_deterministic;
           Alcotest.test_case "resume is byte-identical" `Quick
             test_resume_byte_identical;
         ] );

@@ -52,6 +52,65 @@ let test_json_float_format () =
   check_string "integral float keeps .0" "[1.0,0.5]"
     (Json.to_string (Json.List [ Json.Float 1.0; Json.Float 0.5 ]))
 
+(* Seeded random documents: nested lists and objects (duplicate keys
+   included), strings mixing control bytes, quotes, backslashes and
+   multi-byte UTF-8, extreme ints and, when [floats], awkward floats
+   (negative zero, tiny, huge, non-finite). *)
+let random_json rng ~floats =
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let pieces =
+    [| "a"; "Z"; "0"; " "; "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b";
+       "\012"; "\000"; "\031"; "\127"; "\u{e9}"; "\u{20ac}"; "\u{1f600}";
+       "\u{2028}"; "\u{ffff}" |]
+  in
+  let string () = String.concat "" (List.init (int 8) (fun _ -> pick pieces)) in
+  let integer () =
+    match int 5 with
+    | 0 -> pick [| 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 |]
+    | 1 -> Random.State.full_int rng max_int
+    | 2 -> -Random.State.full_int rng max_int
+    | _ -> int 2000 - 1000
+  in
+  let float () =
+    match int 4 with
+    | 0 ->
+      pick [| 0.0; -0.0; 1.0; 0.5; 1e300; -1e-300; 5e-324; Float.max_float;
+              Float.nan; Float.infinity; Float.neg_infinity; 1e12; 123456.0 |]
+    | 1 -> Random.State.float rng 1.0
+    | 2 -> Float.of_int (integer ())
+    | _ -> ldexp (Random.State.float rng 2.0 -. 1.0) (int 200 - 100)
+  in
+  let rec value depth =
+    match int (if depth = 0 then 6 else 8) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Random.State.bool rng)
+    | 2 -> Json.Int (integer ())
+    | 3 -> if floats then Json.Float (float ()) else Json.Int (integer ())
+    | 4 | 5 -> Json.String (string ())
+    | 6 -> Json.List (List.init (int 5) (fun _ -> value (depth - 1)))
+    | _ ->
+      Json.Obj (List.init (int 5) (fun _ -> (string (), value (depth - 1))))
+  in
+  value (int 6)
+
+(* print . parse . print = print on every value; and, without floats
+   (whose text is rounded to 12 significant digits), parse . print is
+   the identity. *)
+let test_json_print_parse_property () =
+  let rng = Random.State.make [| 2404 |] in
+  for i = 1 to 3000 do
+    let floats = i mod 2 = 0 in
+    let v = random_json rng ~floats in
+    let text = Json.to_string v in
+    match Json.parse text with
+    | Error e -> Alcotest.failf "printed document rejected (%s): %s" e text
+    | Ok v' ->
+      check_string "print . parse . print = print" text (Json.to_string v');
+      if not floats then
+        check_bool (Printf.sprintf "parse . print = id on %s" text) true (v = v')
+  done
+
 (* --- Canon ---------------------------------------------------------------- *)
 
 let params_of_string s =
@@ -90,6 +149,164 @@ let test_canon_invalid_params () =
   with
   | _ -> Alcotest.fail "missing target should be rejected"
   | exception Protocol.Error (Protocol.Invalid_params, _) -> ()
+
+(* The key a params object canonicalizes to, or the wire code of the
+   error the server would answer with.  Anything else escaping Canon
+   would reach a client as an [internal] error, so it fails the test. *)
+let canon_outcome params =
+  match Canon.config_key (Canon.config_of_params params) with
+  | key -> Ok key
+  | exception Protocol.Error (code, _) -> Error (Protocol.code_string code)
+  | exception Json.Type_error _ -> Error "invalid-params"
+  | exception e ->
+    Alcotest.failf "%s raised %s" (Json.to_string params) (Printexc.to_string e)
+
+(* Seeded mutations of valid params.  A dropped required member, a
+   retyped member or an out-of-range value must be an [invalid-params]
+   error; reordered members, aliased names, shuffled or repeated
+   operations, integral floats and spelled-out defaults must give the
+   unmutated key. *)
+let test_canon_fuzz () =
+  let open Hwpat_meta in
+  let rng = Random.State.make [| 2005; 21 |] in
+  let int n = Random.State.int rng n in
+  let pick l = List.nth l (int (List.length l)) in
+  let spellings = function
+    | Metamodel.Stack -> [ "stack"; "lifo-stack"; "Stack" ]
+    | Metamodel.Queue -> [ "queue"; "fifo-queue"; "QUEUE" ]
+    | Metamodel.Read_buffer -> [ "rbuffer"; "read-buffer" ]
+    | Metamodel.Write_buffer -> [ "wbuffer"; "write-buffer" ]
+    | Metamodel.Vector -> [ "vector"; "Vector" ]
+    | Metamodel.Assoc_array -> [ "assoc"; "assoc-array" ]
+  in
+  let target_spellings = function
+    | Metamodel.Fifo_core -> [ "fifo"; "FIFO" ]
+    | Metamodel.Lifo_core -> [ "lifo" ]
+    | Metamodel.Block_ram -> [ "bram" ]
+    | Metamodel.Ext_sram -> [ "sram"; "Sram" ]
+    | Metamodel.Line_buffer3 -> [ "linebuf"; "linebuf3" ]
+  in
+  let ops_json ops =
+    Json.List (List.map (fun o -> Json.String (Metamodel.operation_name o)) ops)
+  in
+  let valid () =
+    let kind = pick Metamodel.all_containers in
+    let target = pick (Metamodel.legal_targets kind) in
+    let ops =
+      match List.filter (fun _ -> Random.State.bool rng) (Metamodel.operations kind) with
+      | [] -> Metamodel.operations kind
+      | ops -> ops
+    in
+    let prot =
+      match pick (None :: List.map Option.some (Metamodel.legal_protections target)) with
+      | None -> []
+      | Some Metamodel.Parity -> [ ("parity", Json.Bool true) ]
+      | Some Metamodel.Op_watchdog -> [ ("op_timeout", Json.Int (1 + int 32)) ]
+    in
+    [ ("container", Json.String (pick (spellings kind)));
+      ("target", Json.String (pick (target_spellings target)));
+      ("width", Json.Int (pick [ 8; 16 ]));
+      ("depth", Json.Int (pick [ 1; 64; 512; 4096 ]));
+      ("ops", ops_json ops) ]
+    @ prot
+    @ (if Random.State.bool rng then [ ("wait_states", Json.Int (int 4)) ] else [])
+    @ if Random.State.bool rng then [ ("instance", Json.String "buf") ] else []
+  in
+  let replace members key v =
+    List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) members
+  in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  let kind_of members =
+    match List.assoc "container" members with
+    | Json.String s -> Canon.container_of_string s
+    | _ -> assert false
+  in
+  let target_of members =
+    match List.assoc "target" members with
+    | Json.String s -> Canon.target_of_string s
+    | _ -> assert false
+  in
+  let mutate_invalid members =
+    let key = fst (pick members) in
+    match int 3 with
+    | 0 -> List.remove_assoc (pick [ "container"; "target" ]) members
+    | 1 ->
+      let wrong =
+        match List.assoc key members with
+        | Json.String _ -> pick [ Json.Int 3; Json.List []; Json.Bool true ]
+        | Json.Int _ -> pick [ Json.String "8"; Json.Float 8.5; Json.Obj [] ]
+        | Json.Bool _ -> pick [ Json.Int 1; Json.String "true" ]
+        | Json.List _ -> pick [ Json.String "read"; Json.List [ Json.Int 1 ] ]
+        | _ -> Json.Bool false
+      in
+      replace members key wrong
+    | _ -> (
+      match int 10 with
+      | 0 -> replace members "width" (Json.Int (pick [ 0; -8 ]))
+      | 1 -> replace members "depth" (Json.Int (pick [ 0; -1 ]))
+      | 2 -> ("bus", Json.Int (pick [ 0; -8; 3 ])) :: members
+      | 3 -> ("addr_width", Json.Int (pick [ 0; -1 ])) :: members
+      | 4 -> ("wait_states", Json.Int (-1)) :: List.remove_assoc "wait_states" members
+      | 5 -> ("op_timeout", Json.Int (pick [ 0; -5 ])) :: List.remove_assoc "op_timeout" members
+      | 6 -> replace members "container" (Json.String "heap")
+      | 7 -> replace members "target" (Json.String "dram")
+      | 8 -> replace members "ops" (Json.List [ Json.String "jump" ])
+      | _ ->
+        (* a target the container cannot be built over *)
+        let kind = kind_of members in
+        let illegal =
+          List.filter
+            (fun t -> not (List.mem t (Metamodel.legal_targets kind)))
+            [ Metamodel.Fifo_core; Metamodel.Lifo_core; Metamodel.Block_ram;
+              Metamodel.Ext_sram; Metamodel.Line_buffer3 ]
+        in
+        replace members "target" (Json.String (List.hd (target_spellings (pick illegal)))))
+  in
+  let mutate_alias members =
+    match int 6 with
+    | 0 -> shuffle members
+    | 1 -> replace members "container" (Json.String (pick (spellings (kind_of members))))
+    | 2 ->
+      replace members "target" (Json.String (pick (target_spellings (target_of members))))
+    | 3 -> (
+      match List.assoc "ops" members with
+      | Json.List ops -> replace members "ops" (Json.List (shuffle (ops @ ops)))
+      | _ -> members)
+    | 4 -> (
+      match List.assoc "width" members with
+      | Json.Int w -> replace members "width" (Json.Float (float_of_int w))
+      | _ -> members)
+    | _ ->
+      let spelled =
+        [ ("wait_states", Json.Int 1); ("instance", Json.String "gen");
+          ("parity", Json.Bool false); ("op_timeout", Json.Null);
+          ("bus", List.assoc "width" members) ]
+      in
+      let k, v = pick spelled in
+      if List.mem_assoc k members then members else members @ [ (k, v) ]
+  in
+  for _ = 1 to 2000 do
+    let base = valid () in
+    let key =
+      match canon_outcome (Json.Obj base) with
+      | Ok key -> key
+      | Error code ->
+        Alcotest.failf "valid params %s rejected (%s)"
+          (Json.to_string (Json.Obj base)) code
+    in
+    let bad = Json.Obj (mutate_invalid base) in
+    (match canon_outcome bad with
+    | Error "invalid-params" -> ()
+    | Ok _ -> Alcotest.failf "accepted %s" (Json.to_string bad)
+    | Error code -> Alcotest.failf "%s gave %s" (Json.to_string bad) code);
+    let alias = Json.Obj (mutate_alias base) in
+    match canon_outcome alias with
+    | Ok k -> check_string (Json.to_string alias) key k
+    | Error code -> Alcotest.failf "%s gave %s" (Json.to_string alias) code
+  done
 
 (* --- Cache ---------------------------------------------------------------- *)
 
@@ -620,6 +837,8 @@ let () =
           Alcotest.test_case "surrogate pairs decode" `Quick
             test_json_surrogate_pair;
           Alcotest.test_case "float format fixed" `Quick test_json_float_format;
+          Alcotest.test_case "print . parse property" `Quick
+            test_json_print_parse_property;
         ] );
       ( "canon",
         [
@@ -629,6 +848,7 @@ let () =
             test_canon_distinct_keys;
           Alcotest.test_case "invalid params rejected" `Quick
             test_canon_invalid_params;
+          Alcotest.test_case "seeded mutations" `Quick test_canon_fuzz;
         ] );
       ( "cache",
         [
