@@ -362,7 +362,9 @@ let shard_timeout_arg =
           "Per-shard wall-clock watchdog: a shard still running after \
            $(docv) seconds is abandoned, retried ($(b,--retries)), and \
            finally reported as unfinished instead of hanging the campaign. \
-           0 disables the watchdog.")
+           A $(b,faultsim) shard is one batch of up to $(b,--lanes) \
+           faults, so the deadline covers the whole batch and a timeout \
+           marks all of its faults unfinished. 0 disables the watchdog.")
 
 let retries_arg =
   Arg.(
@@ -470,7 +472,9 @@ let sweep_cmd =
 
 (* --- faultsim -------------------------------------------------------------- *)
 
-let faultsim design seed faults frame_size overhead batch lanes jobs checkpoint
+(* [_batch] is [--batch], still accepted but ignored: batching is
+   always on. *)
+let faultsim design seed faults frame_size overhead _batch lanes jobs checkpoint
     resume retries shard_timeout trace_path metrics_path =
   if faults < 0 then begin
     prerr_endline "hwpat: --faults must be non-negative";
@@ -485,15 +489,12 @@ let faultsim design seed faults frame_size overhead batch lanes jobs checkpoint
       Hwpat_rtl.Simbatch.lane_bits;
     exit 2
   end;
-  (* The summary is byte-identical either way; batching only changes
-     how many simulations carry the campaign. *)
-  let lanes = if batch then Some lanes else None in
   let policy = resolve_resilience ~checkpoint ~resume ~retries ~shard_timeout in
   let build = Hwpat_core.Faultsim.find_design design in
   with_obs trace_path metrics_path @@ fun ~trace ~metrics ->
   with_sigint @@ fun cancel ->
   let summary =
-    Hwpat_core.Faultsim.run_campaign ~trace ~metrics ?lanes
+    Hwpat_core.Faultsim.run_campaign ~trace ~metrics ~lanes
       ~jobs:(resolve_jobs jobs) ~policy ~cancel ?checkpoint ~resume ~seed
       ~faults ~frame_width:frame_size ~frame_height:frame_size ~build ~design ()
   in
@@ -537,11 +538,9 @@ let faultsim_cmd =
       value & flag
       & info [ "batch" ]
           ~doc:
-            "Run the campaign on the bit-parallel batched engine: up to \
-             $(b,--lanes) faults share one simulation, one per bit-lane of \
-             each machine word. The summary is byte-identical to the scalar \
-             engine's; only throughput changes. Composes with $(b,--jobs) \
-             and $(b,--checkpoint)/$(b,--resume).")
+            "Accepted for compatibility and ignored: campaigns always run \
+             on the bit-parallel batched engine, up to $(b,--lanes) faults \
+             per simulation, one per bit-lane of each machine word.")
   in
   let lanes =
     Arg.(
@@ -549,8 +548,9 @@ let faultsim_cmd =
       & opt int Hwpat_rtl.Simbatch.lane_bits
       & info [ "lanes" ] ~docv:"N"
           ~doc:
-            "Faults per batched simulation (1..64); only meaningful with \
-             $(b,--batch).")
+            "Faults per batched simulation (1..64). The summary is \
+             byte-identical at any lane count; only throughput changes. \
+             $(b,--lanes 1) runs one fault per simulation.")
   in
   Cmd.v
     (Cmd.info "faultsim"

@@ -2,7 +2,7 @@ open Hwpat_rtl
 open Hwpat_video
 
 (* Seeded fault-injection campaigns over the video systems: run each
-   fault in a fresh simulation with runtime monitors attached, compare
+   fault from power-on state with runtime monitors attached, compare
    against the fault-free reference, and classify the outcome. *)
 
 type outcome = Detected | Masked | Silent | Unfinished
@@ -59,8 +59,7 @@ let has_output circuit port = List.mem_assoc port (Circuit.outputs circuit)
    a per-worker instance of a shared compiled plan); otherwise a fresh
    simulator is created. Monitor, injector, source and sink are always
    fresh, so a reused simulator carries no residue between runs. *)
-let run_once ?engine ?sim ?(events = []) ?(check = fun () -> ()) ~budget ~frame
-    circuit =
+let run_once ?engine ?sim ?(events = []) ~budget ~frame circuit =
   let expected = Frame.pixels frame in
   let sim =
     match sim with
@@ -79,7 +78,6 @@ let run_once ?engine ?sim ?(events = []) ?(check = fun () -> ()) ~budget ~frame
   let sink = Vga_sink.create sim () in
   let cycles = ref 0 in
   while Vga_sink.count sink < expected && !cycles < budget do
-    check ();
     Video_source.drive source;
     Vga_sink.drive sink;
     Fault.step injector;
@@ -121,31 +119,42 @@ let classify ~reference ~expected ~collected ~cycles ~first_violation ~err_flag
 
 (* The campaign is trivially parallel: every fault runs against the
    shared (immutable) reference pixels. The circuit is elaborated and
-   compiled exactly once, into a shared immutable [Cyclesim.plan];
-   each worker domain instantiates one simulator from the plan and
-   reuses it for every fault it executes, with [Cyclesim.reset]
-   restoring power-on state between faults — elaborate/compile cost is
-   paid once per campaign instead of once per fault. Fault events are
-   drawn once from the master circuit and apply directly to any
-   instance (instances share the master's signal graph read-only).
-   Results merge in fault order and each fault starts from identical
-   reset state, so the summary is bit-identical for any [jobs] and any
-   work-stealing schedule. *)
+   compiled exactly once, into a shared immutable [Cyclesim.plan].
+   Pending faults are grouped [lanes] at a time into one bit-parallel
+   simulation, a batch, which is the campaign's shard: ceil(pending /
+   lanes) simulations instead of one per fault. Each worker domain
+   instantiates one batched simulator from the plan and reuses it for
+   every batch it runs, with [Simbatch.reset] restoring power-on state
+   in between. Fault events are drawn once from the master circuit and
+   apply directly to any lane view (instances share the master's signal
+   graph read-only).
+
+   The per-lane driver loop mirrors [run_once]'s exactly — per active
+   lane: drive source, drive sink, step injector, then ONE global batch
+   cycle, then sample monitor and observe, with the lane's result
+   latched the moment its own while-condition (all pixels collected, or
+   budget exhausted) goes false. All lanes of a batch start at cycle 0
+   together, so each lane's trajectory and classification equal a
+   [run_once] of its fault alone, and the summary is byte-identical at
+   any lane count, any job count and any work-stealing schedule.
+
+   Journaling is per fault: batch membership depends on which faults
+   were already journaled, so batches are not stable resume keys.
+   Journaled faults are decoded up front and only pending ones batched,
+   and each completed batch records its faults under per-fault keys. *)
 let run_campaign ?(trace = Hwpat_obs.Trace.null)
-    ?(metrics = Hwpat_obs.Metrics.null) ?engine ?plan ?lanes ?jobs ?policy
-    ?cancel ?checkpoint ?(resume = false) ?(seed = 1) ?(faults = 20)
-    ?(frame_width = 8) ?(frame_height = 8) ~build ~design () =
+    ?(metrics = Hwpat_obs.Metrics.null) ?plan ?(lanes = Simbatch.lane_bits)
+    ?jobs ?policy ?cancel ?checkpoint ?(resume = false) ?(seed = 1)
+    ?(faults = 20) ?(frame_width = 8) ?(frame_height = 8) ~build ~design () =
   let module Trace = Hwpat_obs.Trace in
-  (match lanes with
-  | Some l when l < 1 || l > Simbatch.lane_bits ->
+  if lanes < 1 || lanes > Simbatch.lane_bits then
     invalid_arg
-      (Printf.sprintf "Faultsim: lanes must be in 1..%d" Simbatch.lane_bits)
-  | Some _ when engine = Some Cyclesim.Reference ->
-    invalid_arg "Faultsim: the reference engine has no batched form"
-  | _ -> ());
-  (match (plan, engine) with
-  | Some p, Some e when Cyclesim.plan_engine p <> e ->
-    invalid_arg "Faultsim: plan engine does not match requested engine"
+      (Printf.sprintf "Faultsim: lanes must be in 1..%d" Simbatch.lane_bits);
+  (match plan with
+  | Some p when Cyclesim.plan_engine p = Cyclesim.Reference ->
+    invalid_arg
+      "Faultsim: campaigns need a compiled plan (the reference engine has \
+       no batched form)"
   | _ -> ());
   Trace.span trace "faultsim"
     ~args:[ ("design", Trace.String design); ("faults", Trace.Int faults) ]
@@ -160,8 +169,7 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
     | Some p -> (Cyclesim.plan_circuit p, p)
     | None ->
       let circuit = build () in
-      ( circuit,
-        Trace.span trace "compile" (fun () -> Cyclesim.plan ?engine circuit) )
+      (circuit, Trace.span trace "compile" (fun () -> Cyclesim.plan circuit))
   in
   (* Fault-free reference run: also sanity-checks that the monitors
      stay silent on the healthy design. *)
@@ -188,9 +196,9 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
     Array.map (Fault.describe_event_in circuit) events
   in
   (* Checkpoint identity: the campaign parameters that determine every
-     classification.  (The engine is deliberately excluded — the
-     differential suite holds classifications identical across
-     engines, so a journal from either replays in both.) *)
+     classification.  (The lane count is deliberately excluded — it
+     never changes a classification, so a journal written at one lane
+     count resumes at any other.) *)
   let config =
     Printf.sprintf "faultsim design=%s seed=%d faults=%d frame=%dx%d" design
       seed faults frame_width frame_height
@@ -235,204 +243,137 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
       cycles = 0;
     }
   in
-  let scalar_results () =
-    let run_shard sim ctx k =
-      (* One span per fault, recorded on the worker's own domain lane, so
-         the trace shows worker utilization and straggler shards. The
-         worker's simulator instance is reused; run_once resets it. *)
-      Trace.span trace (Printf.sprintf "fault#%d" k) @@ fun () ->
-      let collected, cycles, monitor, _, err_flag =
-        run_once ~sim ~events:[ events.(k) ]
-          ~check:(fun () -> Supervise.check ctx)
-          ~budget ~frame circuit
-      in
-      let r =
-        classify ~reference ~expected ~collected ~cycles
-          ~first_violation:(Monitor.first_violation monitor)
-          ~err_flag ~description:descriptions.(k)
-      in
-      Trace.annotate trace "outcome" (Trace.String (outcome_name r.outcome));
-      r
-    in
-    let outcomes =
-      Supervise.run_shards_local ?jobs ?policy ~metrics ?cancel ?journal ~key
-        ~encode ~decode
-        ~local:(fun () -> Cyclesim.of_plan plan)
-        (Array.length events) run_shard
-    in
-    Array.to_list
-      (Array.mapi
-         (fun k -> function
-           | Supervise.Done r -> r
-           | Supervise.Unfinished { reason; attempts = _ } ->
-             unfinished k reason)
-         outcomes)
-  in
-  (* Batched path: faults are grouped [lanes] at a time into one
-     bit-parallel simulation (ceil(pending/lanes) simulations instead
-     of one per fault). Each lane gets its own fresh monitor, injector,
-     source and sink over a lane view; the per-lane driver loop mirrors
-     [run_once]'s exactly — per active lane: drive source, drive sink,
-     step injector, then ONE global batch cycle, then sample monitor
-     and observe, with the lane's result latched the moment its own
-     while-condition (all pixels collected, or budget exhausted) goes
-     false. All lanes of a batch start at cycle 0 together, so each
-     lane's trajectory and classification are bit-identical to its
-     scalar run, and the demultiplexed summary is byte-identical to the
-     scalar engine's at any lane count and any job count. Journaling is
-     manual here (batch membership depends on which faults were already
-     journaled, so batches are not stable resume keys; individual
-     faults are): journaled faults are decoded up front and only
-     pending ones batched, and each completed batch records its faults
-     under the same per-fault keys the scalar path uses — scalar and
-     batched journals interoperate. *)
-  let batched_results lanes =
-    let n = Array.length events in
-    let merged = Array.make n None in
-    (match journal with
-    | Some j ->
+  let n = Array.length events in
+  let merged = Array.make n None in
+  Option.iter
+    (fun j ->
       for k = 0 to n - 1 do
-        match Journal.find j (key k) with
-        | Some data ->
-          (match decode k data with
-          | Some r ->
-            merged.(k) <- Some r;
-            Hwpat_obs.Metrics.incr metrics "supervise.skipped"
-          | None -> ())
+        match Option.bind (Journal.find j (key k)) (decode k) with
+        | Some r ->
+          merged.(k) <- Some r;
+          Hwpat_obs.Metrics.incr metrics "supervise.skipped"
         | None -> ()
-      done
-    | None -> ());
-    let pending =
-      List.filter (fun k -> merged.(k) = None) (List.init n Fun.id)
-    in
-    let batches =
-      let rec chunk = function
-        | [] -> []
-        | l ->
-          let rec take i acc = function
-            | x :: rest when i < lanes -> take (i + 1) (x :: acc) rest
-            | rest -> (List.rev acc, rest)
-          in
-          let b, rest = take 0 [] l in
-          Array.of_list b :: chunk rest
-      in
-      Array.of_list (chunk pending)
-    in
-    let run_batch batch ctx bi =
-      let faults = batches.(bi) in
-      let nb = Array.length faults in
-      Trace.span trace (Printf.sprintf "batch#%d" bi)
-        ~args:[ ("faults", Trace.Int nb) ]
-      @@ fun () ->
-      Simbatch.reset batch;
-      (* The harness is plane-batched end to end: the monitor, source
-         and sink each touch every lane with a handful of word
-         operations per cycle, so the per-cycle cost no longer scales
-         with the lane count. Only fault injection stays per-lane
-         (each lane runs a different fault), through a lane view. *)
-      let bmon = Monitor.Batch.create batch in
-      ignore (Monitor.Batch.add_auto bmon);
-      let injectors =
-        Array.init nb (fun l ->
-            let inj = Fault.create (Cyclesim.lane_view batch l) in
-            let e = events.(faults.(l)) in
-            Fault.schedule inj ~at:e.Fault.at e.Fault.fault;
-            inj)
-      in
-      let source = Video_source.Batch.create batch frame in
-      let sink = Vga_sink.Batch.create batch () in
-      let err_node =
-        if has_output circuit "err" then
-          Some
-            ( Simbatch.out_node batch "err",
-              Signal.width (Circuit.find_output circuit "err") )
-        else None
-      in
-      let cycles = Array.make nb 0 in
-      let active = Array.make nb true in
-      let err = Array.make nb false in
-      let active_mask =
-        ref (if nb >= 64 then -1L else Int64.sub (Int64.shift_left 1L nb) 1L)
-      in
-      let n_active = ref nb in
-      let gcycle = ref 0 in
-      while !n_active > 0 do
-        Supervise.check ctx;
-        Video_source.Batch.drive source ~mask:!active_mask;
-        Vga_sink.Batch.drive sink ~mask:!active_mask;
-        for l = 0 to nb - 1 do
-          if active.(l) then Fault.step injectors.(l)
-        done;
-        Simbatch.cycle batch;
-        Monitor.Batch.sample bmon ~active:!active_mask ~cycle:!gcycle;
-        Video_source.Batch.observe source ~mask:!active_mask;
-        Vga_sink.Batch.observe sink ~mask:!active_mask;
-        incr gcycle;
-        for l = 0 to nb - 1 do
-          if active.(l) then begin
-            cycles.(l) <- cycles.(l) + 1;
-            if
-              not (Vga_sink.Batch.count sink ~lane:l < expected
-                  && cycles.(l) < budget)
-            then begin
-              active.(l) <- false;
-              active_mask :=
-                Int64.logand !active_mask
-                  (Int64.lognot (Int64.shift_left 1L l));
-              decr n_active;
-              err.(l) <-
-                (match err_node with
-                | Some (i, w) ->
-                  let any = ref 0L in
-                  for b = 0 to w - 1 do
-                    any :=
-                      Int64.logor !any (Simbatch.read_plane batch i ~plane:b)
-                  done;
-                  Int64.logand (Int64.shift_right_logical !any l) 1L = 1L
-                | None -> false)
-            end
-          end
-        done
-      done;
+      done)
+    journal;
+  let pending =
+    Array.of_list (List.filter (fun k -> merged.(k) = None) (List.init n Fun.id))
+  in
+  let batches =
+    Array.init
+      ((Array.length pending + lanes - 1) / lanes)
+      (fun b ->
+        let lo = b * lanes in
+        Array.sub pending lo (min lanes (Array.length pending - lo)))
+  in
+  let run_batch batch ctx bi =
+    let faults = batches.(bi) in
+    let nb = Array.length faults in
+    Trace.span trace (Printf.sprintf "batch#%d" bi)
+      ~args:[ ("faults", Trace.Int nb) ]
+    @@ fun () ->
+    Simbatch.reset batch;
+    (* The harness is plane-batched end to end: the monitor, source
+       and sink each touch every lane with a handful of word
+       operations per cycle, so the per-cycle cost no longer scales
+       with the lane count. Only fault injection stays per-lane
+       (each lane runs a different fault), through a lane view. *)
+    let bmon = Monitor.Batch.create batch in
+    ignore (Monitor.Batch.add_auto bmon);
+    let injectors =
       Array.init nb (fun l ->
-          let k = faults.(l) in
-          let r =
-            classify ~reference ~expected
-              ~collected:(Vga_sink.Batch.collected sink ~lane:l)
-              ~cycles:cycles.(l)
-              ~first_violation:(Monitor.Batch.first_violation bmon ~lane:l)
-              ~err_flag:err.(l) ~description:descriptions.(k)
-          in
-          (match journal with
-          | Some j -> Journal.record j ~key:(key k) (encode r)
-          | None -> ());
-          (k, r))
+          let inj = Fault.create (Cyclesim.lane_view batch l) in
+          let e = events.(faults.(l)) in
+          Fault.schedule inj ~at:e.Fault.at e.Fault.fault;
+          inj)
     in
-    let outcomes =
-      Supervise.run_shards_local ?jobs ?policy ~metrics ?cancel
-        ~key:(fun bi ->
-          let faults = batches.(bi) in
-          Printf.sprintf "batch:%d-%d" faults.(0)
-            faults.(Array.length faults - 1))
-        ~local:(fun () -> Cyclesim.instantiate_batched ~lanes plan)
-        (Array.length batches) run_batch
+    let source = Video_source.Batch.create batch frame in
+    let sink = Vga_sink.Batch.create batch () in
+    let err_node =
+      if has_output circuit "err" then
+        Some
+          ( Simbatch.out_node batch "err",
+            Signal.width (Circuit.find_output circuit "err") )
+      else None
     in
-    Array.iteri
-      (fun bi -> function
-        | Supervise.Done pairs ->
-          Array.iter (fun (k, r) -> merged.(k) <- Some r) pairs
-        | Supervise.Unfinished { reason; attempts = _ } ->
-          Array.iter
-            (fun k -> merged.(k) <- Some (unfinished k reason))
-            batches.(bi))
-      outcomes;
-    Array.to_list (Array.map Option.get merged)
+    let cycles = Array.make nb 0 in
+    let active = Array.make nb true in
+    let err = Array.make nb false in
+    let active_mask =
+      ref (if nb >= 64 then -1L else Int64.sub (Int64.shift_left 1L nb) 1L)
+    in
+    let n_active = ref nb in
+    let gcycle = ref 0 in
+    while !n_active > 0 do
+      Supervise.check ctx;
+      Video_source.Batch.drive source ~mask:!active_mask;
+      Vga_sink.Batch.drive sink ~mask:!active_mask;
+      for l = 0 to nb - 1 do
+        if active.(l) then Fault.step injectors.(l)
+      done;
+      Simbatch.cycle batch;
+      Monitor.Batch.sample bmon ~active:!active_mask ~cycle:!gcycle;
+      Video_source.Batch.observe source ~mask:!active_mask;
+      Vga_sink.Batch.observe sink ~mask:!active_mask;
+      incr gcycle;
+      for l = 0 to nb - 1 do
+        if active.(l) then begin
+          cycles.(l) <- cycles.(l) + 1;
+          if
+            not (Vga_sink.Batch.count sink ~lane:l < expected
+                && cycles.(l) < budget)
+          then begin
+            active.(l) <- false;
+            active_mask :=
+              Int64.logand !active_mask
+                (Int64.lognot (Int64.shift_left 1L l));
+            decr n_active;
+            err.(l) <-
+              (match err_node with
+              | Some (i, w) ->
+                let any = ref 0L in
+                for b = 0 to w - 1 do
+                  any :=
+                    Int64.logor !any (Simbatch.read_plane batch i ~plane:b)
+                done;
+                Int64.logand (Int64.shift_right_logical !any l) 1L = 1L
+              | None -> false)
+          end
+        end
+      done
+    done;
+    Array.init nb (fun l ->
+        let k = faults.(l) in
+        let r =
+          classify ~reference ~expected
+            ~collected:(Vga_sink.Batch.collected sink ~lane:l)
+            ~cycles:cycles.(l)
+            ~first_violation:(Monitor.Batch.first_violation bmon ~lane:l)
+            ~err_flag:err.(l) ~description:descriptions.(k)
+        in
+        (match journal with
+        | Some j -> Journal.record j ~key:(key k) (encode r)
+        | None -> ());
+        (k, r))
   in
-  let results =
-    match lanes with
-    | None -> scalar_results ()
-    | Some lanes -> batched_results lanes
+  let outcomes =
+    Supervise.run_shards_local ?jobs ?policy ~metrics ?cancel
+      ~key:(fun bi ->
+        let faults = batches.(bi) in
+        Printf.sprintf "batch:%d-%d" faults.(0)
+          faults.(Array.length faults - 1))
+      ~local:(fun () -> Cyclesim.instantiate_batched ~lanes plan)
+      (Array.length batches) run_batch
   in
+  (* A batch that never completes (watchdog, retries exhausted,
+     cancellation) leaves every one of its faults [Unfinished]. *)
+  Array.iteri
+    (fun bi -> function
+      | Supervise.Done pairs ->
+        Array.iter (fun (k, r) -> merged.(k) <- Some r) pairs
+      | Supervise.Unfinished { reason; attempts = _ } ->
+        Array.iter (fun k -> merged.(k) <- Some (unfinished k reason)) batches.(bi))
+    outcomes;
+  let results = Array.to_list (Array.map Option.get merged) in
   List.iter
     (fun r ->
       Hwpat_obs.Metrics.incr metrics

@@ -3,8 +3,8 @@ open Hwpat_video
 
 (** Seeded fault-injection campaigns over the video systems.
 
-    Each fault from a deterministic {!Fault.random_campaign} runs in a
-    fresh simulation with runtime {!Monitor}s auto-attached; the run is
+    Each fault from a deterministic {!Fault.random_campaign} runs from
+    power-on state with runtime {!Monitor}s auto-attached; the run is
     compared against the fault-free reference and classified:
 
     - [Detected] — a monitor flagged a protocol violation, or the
@@ -13,9 +13,9 @@ open Hwpat_video
       flag: the fault had no observable effect;
     - [Silent] — wrong output or a hang with no flag raised (the
       dangerous case protection hardware is meant to eliminate);
-    - [Unfinished] — the shard never produced a verdict: supervision
-      retries were exhausted (watchdog timeout, transient failure) or
-      the campaign was cancelled before the fault ran.  Unfinished
+    - [Unfinished] — the fault's batch never produced a verdict:
+      supervision retries were exhausted (watchdog timeout, transient
+      failure) or the campaign was cancelled before the batch ran.  Unfinished
       faults are reported explicitly, excluded from {!coverage}, and
       never journaled — a resumed campaign runs them again. *)
 
@@ -57,7 +57,6 @@ val run_once :
   ?engine:Cyclesim.engine ->
   ?sim:Cyclesim.t ->
   ?events:Fault.event list ->
-  ?check:(unit -> unit) ->
   budget:int ->
   frame:Frame.t ->
   Circuit.t ->
@@ -67,14 +66,13 @@ val run_once :
     [engine] selects the simulation engine (default compiled). [sim]
     reuses an existing simulator of the circuit instead of creating
     one — it is {!Cyclesim.reset} first, so the run is bit-identical
-    to one on a fresh simulator; campaigns pass per-worker instances
-    of a shared compiled plan. [check] is called once per cycle — the
-    supervision watchdog hook. *)
+    to one on a fresh simulator. A campaign runs its fault-free
+    baseline through it; a single-fault run on the [Reference] engine
+    is the independent oracle the tests hold each campaign lane to. *)
 
 val run_campaign :
   ?trace:Hwpat_obs.Trace.t ->
   ?metrics:Hwpat_obs.Metrics.t ->
-  ?engine:Cyclesim.engine ->
   ?plan:Cyclesim.plan ->
   ?lanes:int ->
   ?jobs:int ->
@@ -90,46 +88,39 @@ val run_campaign :
   design:string ->
   unit ->
   summary
-(** Defaults: [seed = 1], [faults = 20], 8x8 frame. Deterministic in
-    [seed] (and independent of [engine] — the differential suite holds
-    the classifications identical across engines). The circuit is
-    elaborated and compiled once into a shared {!Cyclesim.plan} — or,
-    when [plan] is given (the serve daemon's netlist cache), the
-    supplied plan is used directly, its circuit is the campaign
-    master, and [build] is never called (raises [Invalid_argument] if
-    [engine] is also given and disagrees with the plan's); the
-    campaign is sharded one fault per shard across [jobs] domains
-    (default [Parallel.default_jobs ()]), each worker reusing one plan
-    instance across its faults with a reset in between. Results merge
-    in fault order and every fault starts from power-on state, so the
-    summary — {!render} and {!summary_to_json} included — is
-    bit-identical for any [jobs]. Raises [Invalid_argument] if the
-    design fails or trips a monitor fault-free.
+(** Defaults: [seed = 1], [faults = 20], 8x8 frame, [lanes = 64].
+    Deterministic in [seed]. The circuit is elaborated and compiled
+    once into a shared {!Cyclesim.plan} — or, when [plan] is given (the
+    serve daemon's netlist cache), the supplied plan is used directly,
+    its circuit is the campaign master, and [build] is never called.
+    Raises [Invalid_argument] if [plan] is a [Reference] plan, if
+    [lanes] is outside 1..64, or if the design fails or trips a monitor
+    fault-free.
 
-    Execution is supervised ({!Supervise.run_shards_local}): [policy] sets
-    per-fault watchdog deadlines and retry counts, [cancel] stops
-    further faults from starting, and shards that never complete are
-    reported as [Unfinished] results.  [checkpoint] journals each
-    completed fault to the given path as it finishes; with [resume]
-    faults already journaled under a matching campaign configuration
-    (design, seed, fault count, frame size — enforced, see
-    {!Journal.Config_mismatch}) are skipped and their recorded results
-    replayed, so an interrupted-then-resumed campaign renders
-    byte-identically to an uninterrupted one.
+    Faults run on the bit-parallel batched engine ({!Simbatch}):
+    pending faults are grouped [lanes] at a time into one simulation
+    whose machine words carry one fault per bit-lane, so a campaign of
+    N faults runs ceil(N/lanes) simulations; [lanes = 1] runs one fault
+    per simulation. Each batch is one shard, sharded across [jobs]
+    domains (default [Parallel.default_jobs ()]), each worker reusing
+    one batched instance of the plan across its batches with a reset in
+    between. Each lane's trajectory is bit-identical to a {!run_once}
+    of its fault alone, results merge in fault order, and every fault
+    starts from power-on state, so the summary — {!render} and
+    {!summary_to_json} included — is bit-identical for any [lanes] and
+    any [jobs].
 
-    [lanes] switches to the bit-parallel batched engine ({!Simbatch}):
-    pending faults are grouped [lanes] (1..64) at a time into one
-    simulation whose machine words carry one fault per bit-lane, so a
-    campaign of N faults runs ceil(N/lanes) simulations. Each lane's
-    trajectory is bit-identical to its scalar run and classifications
-    are demultiplexed per lane, so the summary stays byte-identical to
-    the scalar engine's at any lane count and any [jobs]; lane batching
-    composes with [jobs] (each worker domain runs whole batches) and
-    with [checkpoint]/[resume] (faults journal individually under the
-    same keys, so scalar and batched journals interoperate — the
-    campaign configuration string does not include the engine or lane
-    count). Requires the compiled engine (the default); raises
-    [Invalid_argument] combined with [engine = Reference]. *)
+    Execution is supervised ({!Supervise.run_shards_local}): [policy]
+    sets per-batch watchdog deadlines and retry counts, [cancel] stops
+    further batches from starting, and a batch that never completes
+    reports every one of its faults as [Unfinished].  [checkpoint]
+    journals each fault of a batch as the batch completes; with
+    [resume] faults already journaled under a matching campaign
+    configuration (design, seed, fault count, frame size — enforced,
+    see {!Journal.Config_mismatch}; the lane count is not part of it)
+    are skipped and their recorded results replayed, so an
+    interrupted-then-resumed campaign renders byte-identically to an
+    uninterrupted one. *)
 
 val designs : (string * (unit -> Circuit.t)) list
 (** Named builds for the CLI and benchmark harness: the Table 3

@@ -15,13 +15,28 @@ let port_to_string port =
 
 let has_op cfg op = List.mem op cfg.Config.ops_used
 
+(* The pointer step that completes a fused sequential access, from
+   Table 1: a read steps in the kind's sequential-input direction and
+   a write in its sequential-output direction.  A stack is read
+   forward and written backward, so its pop is read + inc and its push
+   write + dec; the other sequential kinds step forward both ways. *)
+let step = function
+  | Some Metamodel.Backward -> Metamodel.Dec
+  | Some (Metamodel.Forward | Metamodel.Both) | None -> Metamodel.Inc
+
+let read_step cfg =
+  step (Metamodel.capabilities cfg.Config.kind).Metamodel.sequential_input
+
+let write_step cfg =
+  step (Metamodel.capabilities cfg.Config.kind).Metamodel.sequential_output
+
 (* Method strobes exposed by each container kind, derived from the
-   operations kept after pruning. Sequential read is the fused
-   pop (read + inc); sequential write is the fused push. *)
+   operations kept after pruning. Sequential read is the fused pop
+   (read + its step); sequential write is the fused push. *)
 let method_names cfg =
   let open Metamodel in
-  let seq_read = has_op cfg Read && has_op cfg Inc in
-  let seq_write = has_op cfg Write && has_op cfg Inc in
+  let seq_read = has_op cfg Read && has_op cfg (read_step cfg) in
+  let seq_write = has_op cfg Write && has_op cfg (write_step cfg) in
   match cfg.Config.kind with
   | Read_buffer -> (if seq_read then [ "pop" ] else []) @ [ "empty"; "size" ]
   | Write_buffer -> (if seq_write then [ "push" ] else []) @ [ "full"; "size" ]
@@ -652,10 +667,14 @@ let iterator_architecture cfg =
   (match cfg.Config.kind with
   | Read_buffer | Queue | Stack | Write_buffer ->
     if has_method cfg "m_pop" then
-      Buffer.add_string buf "  c_m_pop <= it_read and it_inc;\n";
+      Buffer.add_string buf
+        (Printf.sprintf "  c_m_pop <= it_read and it_%s;\n"
+           (operation_name (read_step cfg)));
     if has_op cfg Read then Buffer.add_string buf "  it_data <= c_r_data;\n";
     if has_method cfg "m_push" then
-      Buffer.add_string buf "  c_m_push <= it_write and it_inc;\n";
+      Buffer.add_string buf
+        (Printf.sprintf "  c_m_push <= it_write and it_%s;\n"
+           (operation_name (write_step cfg)));
     if has_op cfg Write && cfg.Config.kind <> Read_buffer then
       Buffer.add_string buf "  c_a_data <= it_wdata;\n"
   | Vector | Assoc_array ->

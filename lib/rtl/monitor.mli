@@ -118,7 +118,7 @@ module Batch : sig
   val sample : bt -> active:int64 -> cycle:int -> unit
   (** Run all checks for the lanes in [active] against the settled
       values of cycle [cycle]. Call once after each [Simbatch.cycle]
-      with the mask of lanes a scalar campaign would still be
+      with the mask of lanes whose single-fault run would still be
       sampling. *)
 
   val violations : bt -> lane:int -> violation list

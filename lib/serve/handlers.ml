@@ -242,14 +242,15 @@ let faultsim t ctx params =
   let seed = Json.get_int params "seed" ~default:1 in
   let faults = Json.get_int params "faults" ~default:20 in
   let frame_size = Json.get_int params "frame_size" ~default:8 in
-  let lanes = Json.get_int_opt params "lanes" in
+  let lanes =
+    Option.value (Json.get_int_opt params "lanes")
+      ~default:Hwpat_rtl.Simbatch.lane_bits
+  in
   if faults < 0 then Protocol.invalid_params "faults must be non-negative";
   if frame_size < 1 then
     Protocol.invalid_params "frame_size must be at least 1";
-  (match lanes with
-  | Some l when l < 1 || l > Hwpat_rtl.Simbatch.lane_bits ->
-    Protocol.invalid_params "lanes must be in 1..%d" Hwpat_rtl.Simbatch.lane_bits
-  | _ -> ());
+  if lanes < 1 || lanes > Hwpat_rtl.Simbatch.lane_bits then
+    Protocol.invalid_params "lanes must be in 1..%d" Hwpat_rtl.Simbatch.lane_bits;
   let build = Faultsim.find_design design in
   (* lanes and jobs are execution hints — the summary is byte-identical
      at any value of either, so neither is part of the cache identity. *)
@@ -269,7 +270,7 @@ let faultsim t ctx params =
             (Hwpat_rtl.Cyclesim.plan (build ()), Designs.Copy))
       in
       let summary =
-        Faultsim.run_campaign ~trace:t.trace ~metrics:t.metrics ~plan ?lanes
+        Faultsim.run_campaign ~trace:t.trace ~metrics:t.metrics ~plan ~lanes
           ~jobs:(request_jobs t params) ~policy:(campaign_policy ctx) ~seed
           ~faults ~frame_width:frame_size ~frame_height:frame_size ~build
           ~design ()

@@ -2,10 +2,11 @@
    and its consumers:
    - lane isolation: a fault (force, state poke) applied to one lane
      must not perturb any other lane, at any cycle;
-   - batched fault campaigns are byte-identical to the scalar engine's
-     at any lane count (1, 3, 64) and any job count;
+   - fault campaigns classify every fault as its own single-fault run
+     on the naive engine does, and are byte-identical at any lane
+     count (1, 3, 64) and any job count;
    - checkpoint/resume composes with batching, including a journal
-     written by a *scalar* campaign resumed by a batched one;
+     written at one lane per simulation resumed at 64;
    - a zero-length checkpoint resumed is a fresh run with an explicit
      note, not a config mismatch;
    - {!Hwpat_core.Characterize.selfcheck} pins the batched engine to
@@ -112,15 +113,26 @@ let campaign ?lanes ?checkpoint ?(resume = false) ~jobs () =
     ~build:(Faultsim.find_design "saa2vga_sram_pattern")
     ~design:"saa2vga_sram_pattern" ()
 
-let test_lane_count_byte_identity () =
-  let reference = Faultsim.summary_to_json (campaign ~jobs:2 ()) in
+(* Every lane count against the single-fault oracle, then against
+   each other byte for byte. *)
+let test_lanes_match_single_runs () =
+  let oracle =
+    Hwpat_test_support.Campaign_oracle.expect ~seed:5 ~faults:10
+      ~frame_size:6
+      (Faultsim.find_design "saa2vga_sram_pattern")
+  in
+  let json =
+    List.map
+      (fun lanes ->
+        let s = campaign ~lanes ~jobs:2 () in
+        Hwpat_test_support.Campaign_oracle.check
+          ~what:(Printf.sprintf "lanes:%d" lanes) oracle s;
+        Faultsim.summary_to_json s)
+      [ 1; 3; 64 ]
+  in
   List.iter
-    (fun lanes ->
-      Alcotest.(check string)
-        (Printf.sprintf "lanes:%d = scalar" lanes)
-        reference
-        (Faultsim.summary_to_json (campaign ~lanes ~jobs:2 ())))
-    [ 1; 3; 64 ]
+    (Alcotest.(check string) "same bytes at every lane count" (List.hd json))
+    (List.tl json)
 
 (* With 10 faults and 3 lanes the campaign is 4 batches — enough to
    shard unevenly across 4 domains. *)
@@ -136,15 +148,15 @@ let with_temp_path f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* A journal written by the *scalar* engine, torn mid-write, resumed
-   by a *batched* campaign: the journal keys and the campaign config
-   string exclude the engine and lane count, so the batched run
-   replays the scalar verdicts and re-runs only the missing faults —
+(* A journal written one fault per simulation, torn mid-write,
+   resumed 64 lanes at a time: the journal keys and the campaign config
+   string exclude the lane count, so the resumed run replays the
+   journaled verdicts and re-runs only the missing faults —
    byte-identically. *)
-let test_scalar_journal_batched_resume () =
+let test_lanes1_journal_resumed_at_64 () =
   let reference = Faultsim.summary_to_json (campaign ~jobs:2 ()) in
   with_temp_path @@ fun path ->
-  ignore (campaign ~checkpoint:path ~jobs:2 ());
+  ignore (campaign ~checkpoint:path ~lanes:1 ~jobs:2 ());
   let lines =
     let ic = open_in path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -165,9 +177,9 @@ let test_scalar_journal_batched_resume () =
     lines;
   output_string oc "{\"key\": \"torn";
   close_out oc;
-  let resumed = campaign ~checkpoint:partial ~resume:true ~lanes:4 ~jobs:2 () in
+  let resumed = campaign ~checkpoint:partial ~resume:true ~lanes:64 ~jobs:2 () in
   Alcotest.(check string)
-    "scalar journal + batched resume is byte-identical" reference
+    "lanes:1 journal + 64-lane resume is byte-identical" reference
     (Faultsim.summary_to_json resumed)
 
 (* A zero-length checkpoint (killed before the header flushed) resumed
@@ -251,12 +263,16 @@ let test_api_edges () =
     (raises (fun () -> Cyclesim.lane_view batch 2));
   Alcotest.(check bool) "negative lane rejected" true
     (raises (fun () -> Cyclesim.lane_view batch (-1)));
-  Alcotest.(check bool) "faultsim rejects reference+lanes" true
+  let build = Faultsim.find_design "saa2vga_sram_pattern" in
+  let campaign ?plan ?lanes () =
+    Faultsim.run_campaign ?plan ?lanes ~jobs:1 ~seed:5 ~faults:2
+      ~frame_width:6 ~frame_height:6 ~build ~design:"saa2vga_sram_pattern" ()
+  in
+  Alcotest.(check bool) "faultsim rejects a Reference plan" true
     (raises (fun () ->
-         Faultsim.run_campaign ~engine:Cyclesim.Reference ~lanes:4 ~jobs:1
-           ~seed:5 ~faults:2 ~frame_width:6 ~frame_height:6
-           ~build:(Faultsim.find_design "saa2vga_sram_pattern")
-           ~design:"saa2vga_sram_pattern" ()))
+         campaign ~plan:(Cyclesim.plan ~engine:Cyclesim.Reference (build ())) ()));
+  Alcotest.(check bool) "faultsim rejects lanes:65" true
+    (raises (fun () -> campaign ~lanes:65 ()))
 
 let () =
   Alcotest.run "batchsim"
@@ -269,12 +285,12 @@ let () =
         ] );
       ( "campaign",
         [
-          Alcotest.test_case "lanes 1/3/64 byte-identical to scalar" `Quick
-            test_lane_count_byte_identity;
+          Alcotest.test_case "lanes 1/3/64 match single-fault runs" `Quick
+            test_lanes_match_single_runs;
           Alcotest.test_case "batched jobs:1 = jobs:4" `Quick
             test_batched_jobs_deterministic;
-          Alcotest.test_case "scalar journal, batched resume" `Quick
-            test_scalar_journal_batched_resume;
+          Alcotest.test_case "lanes:1 journal, torn, resumed at 64 lanes"
+            `Quick test_lanes1_journal_resumed_at_64;
           Alcotest.test_case "empty checkpoint resumes fresh" `Quick
             test_empty_checkpoint_fresh_run;
           Alcotest.test_case "empty checkpoint sets the journal note" `Quick

@@ -279,6 +279,32 @@ let test_all_iterators_lint_clean () =
       | issues -> fail_lint cfg issues)
     all_configs
 
+(* Table 1 reads a stack forward and writes it backward (the
+   metamodel maps sequential input to [Read] and output to [Write]),
+   so on every legal stack config the entity declares [m_pop] exactly
+   when read and inc survive pruning and [m_push] exactly when write
+   and dec do, and the iterator fuses each strobe from those two. *)
+let test_stack_strobes_follow_table1 () =
+  let stacks =
+    List.filter (fun c -> c.Config.kind = Metamodel.Stack) all_configs
+  in
+  check_int "legal stack configs" 540 (List.length stacks);
+  List.iter
+    (fun cfg ->
+      let has op = List.mem op cfg.Config.ops_used in
+      let ports = port_names (Codegen.functional_ports cfg) in
+      let iterator = Codegen.generate_iterator cfg in
+      let what s = Printf.sprintf "%s: %s" (Config.describe cfg) s in
+      let pop = has Metamodel.Read && has Metamodel.Inc in
+      let push = has Metamodel.Write && has Metamodel.Dec in
+      check_bool (what "m_pop declared") pop (List.mem "m_pop" ports);
+      check_bool (what "m_push declared") push (List.mem "m_push" ports);
+      check_bool (what "iterator pops with read and inc") pop
+        (contains "c_m_pop <= it_read and it_inc;" iterator);
+      check_bool (what "iterator pushes with write and dec") push
+        (contains "c_m_push <= it_write and it_dec;" iterator))
+    stacks
+
 let test_lint_catches_errors () =
   let bad_balance = "entity x is\nend x;\nprocess (clk)\nbegin\n" in
   check_bool "unbalanced process" true (not (Vhdl_lint.is_clean bad_balance));
@@ -533,6 +559,8 @@ let () =
         [
           Alcotest.test_case "all containers clean" `Quick test_all_generated_lint_clean;
           Alcotest.test_case "all iterators clean" `Quick test_all_iterators_lint_clean;
+          Alcotest.test_case "stack strobes follow table 1" `Quick
+            test_stack_strobes_follow_table1;
           Alcotest.test_case "catches errors" `Quick test_lint_catches_errors;
         ] );
       ( "protection",

@@ -296,8 +296,11 @@ let test_plan_instances_isolated () =
 
 (* --- Determinism: campaigns and sweeps at jobs:1 vs jobs:4 --------------- *)
 
+(* Three lanes per batch: the ten faults make four batches, so jobs:4
+   really shards the campaign (at the default 64 lanes it would be one
+   batch). *)
 let campaign ?checkpoint ?(resume = false) ~jobs () =
-  Faultsim.run_campaign ?checkpoint ~resume ~jobs ~seed:5 ~faults:10
+  Faultsim.run_campaign ?checkpoint ~resume ~lanes:3 ~jobs ~seed:5 ~faults:10
     ~frame_width:6 ~frame_height:6
     ~build:(Faultsim.find_design "saa2vga_sram_pattern")
     ~design:"saa2vga_sram_pattern" ()

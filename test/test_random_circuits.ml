@@ -219,29 +219,20 @@ let test_differential_paper_designs () =
         circuit)
     designs
 
-(* Fault campaigns must classify identically on both engines: same
-   outcome for every injected fault, same baseline length. *)
+(* A batched campaign must classify every fault exactly as that
+   fault's own single-fault run on the naive reference engine does:
+   same outcome, violation, cycles, completion and err flag, and the
+   same baseline length. *)
 let test_differential_faultsim () =
   let build () =
     Hwpat_core.Saa2vga.build ~substrate:Hwpat_core.Saa2vga.Sram
       ~style:Hwpat_core.Saa2vga.Pattern ()
   in
-  let run engine =
-    Hwpat_core.Faultsim.run_campaign ~engine ~seed:11 ~faults:12 ~frame_width:6
-      ~frame_height:6 ~build ~design:"saa2vga_sram_pattern" ()
-  in
-  let a = run Cyclesim.Reference and b = run Cyclesim.Compiled in
-  Alcotest.(check int)
-    "baseline cycles agree" a.Hwpat_core.Faultsim.baseline_cycles
-    b.Hwpat_core.Faultsim.baseline_cycles;
-  let outcomes s =
-    List.map
-      (fun r ->
-        Hwpat_core.Faultsim.outcome_name r.Hwpat_core.Faultsim.outcome)
-      s.Hwpat_core.Faultsim.results
-  in
-  Alcotest.(check (list string)) "classifications agree" (outcomes a)
-    (outcomes b)
+  Hwpat_test_support.Campaign_oracle.check ~what:"seed 11"
+    (Hwpat_test_support.Campaign_oracle.expect ~seed:11 ~faults:12
+       ~frame_size:6 build)
+    (Hwpat_core.Faultsim.run_campaign ~seed:11 ~faults:12 ~frame_width:6
+       ~frame_height:6 ~build ~design:"saa2vga_sram_pattern" ())
 
 (* The bit-parallel batched engine vs the naive interpreter: each
    random circuit runs 64 lanes at once, every lane fed its own random
