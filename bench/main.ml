@@ -7,6 +7,7 @@
 open Hwpat_core
 open Hwpat_video
 module Json = Hwpat_obs.Json
+module Metamodel = Hwpat_meta.Metamodel
 
 (* Every BENCH_*.json goes through the one codec. *)
 let write_bench_json path fields =
@@ -125,12 +126,11 @@ let throughput () =
 let design_space_section () =
   banner "§4 design space — FIFO vs SRAM points (wait-state sweep)";
   let points =
-    { Characterize.container = "queue"; target = "fifo"; elem_width = 8;
-      depth = 512; wait_states = 0 }
+    Characterize.point Metamodel.Queue Metamodel.Fifo_core ~elem_width:8 ~depth:512
     :: List.map
-         (fun ws ->
-           { Characterize.container = "queue"; target = "sram"; elem_width = 8;
-             depth = 512; wait_states = ws })
+         (fun wait_states ->
+           Characterize.point ~wait_states Metamodel.Queue Metamodel.Ext_sram
+             ~elem_width:8 ~depth:512)
          [ 0; 1; 2; 3; 4 ]
   in
   let candidates = List.map Characterize.characterize points in
@@ -563,16 +563,13 @@ let parscaling ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
   in
   let sweep_points =
     if smoke then
-      [
-        { Characterize.container = "queue"; target = "fifo"; elem_width = 8;
-          depth = 64; wait_states = 0 };
-        { Characterize.container = "queue"; target = "sram"; elem_width = 8;
-          depth = 64; wait_states = 1 };
-        { Characterize.container = "stack"; target = "bram"; elem_width = 8;
-          depth = 64; wait_states = 0 };
-        { Characterize.container = "vector"; target = "bram"; elem_width = 8;
-          depth = 64; wait_states = 0 };
-      ]
+      List.map
+        (fun (kind, target) -> Characterize.point kind target ~elem_width:8 ~depth:64)
+        Metamodel.
+          [
+            (Queue, Fifo_core); (Queue, Ext_sram); (Stack, Block_ram);
+            (Vector, Block_ram);
+          ]
     else Characterize.default_points
   in
   let sweep jobs =
@@ -695,20 +692,6 @@ let batchsim ?(smoke = false) ?(gate = false) () =
   banner
     (Printf.sprintf "§batchsim — bit-parallel batched fault campaigns%s"
        (if smoke then " (smoke)" else ""));
-  (* Best-of-3 wall time: a single run's ratio jitters across the
-     gate threshold on a loaded machine; the per-row minimum is the
-     least-noise estimate of the true cost. *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      (v, max 1e-9 (Unix.gettimeofday () -. t0))
-    in
-    let v, s0 = once () in
-    let _, s1 = once () in
-    let _, s2 = once () in
-    (v, min s0 (min s1 s2))
-  in
   (* 64 faults = one full batch at 64 lanes — the gate's own shape —
      even in smoke; only the frame shrinks there. Frames are sized so
      per-campaign setup (circuit build, plan compile, golden frame) is
@@ -717,22 +700,63 @@ let batchsim ?(smoke = false) ?(gate = false) () =
   let faults = 64 in
   let fw = if smoke then 12 else 16 in
   let design = "saa2vga_sram_pattern" in
-  let scalar_cycles, scalar_seconds =
-    time (fun () ->
-        run_once_loop ~engine:Hwpat_rtl.Cyclesim.Compiled ~seed:7 ~faults
-          ~frame_size:fw design)
+  let scalar () =
+    run_once_loop ~engine:Hwpat_rtl.Cyclesim.Compiled ~seed:7 ~faults
+      ~frame_size:fw design
   in
+  let campaign lanes () =
+    let s =
+      Faultsim.run_campaign ~lanes ~jobs:1 ~seed:7 ~faults ~frame_width:fw
+        ~frame_height:fw ~build:(Faultsim.find_design design) ~design ()
+    in
+    (Faultsim.summary_to_json s, campaign_cycles s)
+  in
+  (* One run of a row, timed from a collected heap, so no run pays
+     for the garbage of the run before it. *)
+  let once f =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    let v = f () in
+    (v, max 1e-9 (Unix.gettimeofday () -. t0))
+  in
+  let scalar_cycles, _ = once scalar in
+  let firsts = List.map (fun lanes -> (lanes, once (campaign lanes))) [ 1; 4; 16; 64 ] in
+  (* The gated pair is timed in rounds, each row as its fastest
+     sample.  A 64-lane run takes well under 0.1 s, where one busy
+     moment of a shared host moves the ratio across the gate, so each
+     round runs the scalar loop once and then 64-lane campaigns until
+     they have taken as long.  Rounds repeat until there are three and
+     the scalar samples add up to 0.5 s (the 64-lane ones add up to at
+     least as much).  Both rows sample the same stretches of time, so
+     a busy stretch slows both alike.  The other rows are not gated:
+     best of 3. *)
+  let rec rounds scalar_samples lanes64_samples =
+    if
+      List.length scalar_samples >= 3
+      && List.fold_left ( +. ) 0.0 scalar_samples >= 0.5
+    then (scalar_samples, lanes64_samples)
+    else
+      let _, s = once scalar in
+      let rec block spent samples =
+        if spent >= s then samples
+        else
+          let _, t = once (campaign 64) in
+          block (spent +. t) (t :: samples)
+      in
+      rounds (s :: scalar_samples) (block 0.0 lanes64_samples)
+  in
+  let scalar_samples, lanes64_samples = rounds [] [] in
+  let fastest = List.fold_left min infinity in
+  let scalar_seconds = fastest scalar_samples in
   let batched =
     List.map
-      (fun lanes ->
-        let s, seconds =
-          time (fun () ->
-              Faultsim.run_campaign ~lanes ~jobs:1 ~seed:7 ~faults
-                ~frame_width:fw ~frame_height:fw
-                ~build:(Faultsim.find_design design) ~design ())
+      (fun (lanes, ((json, cycles), first)) ->
+        let seconds =
+          if lanes = 64 then fastest lanes64_samples
+          else fastest (first :: List.init 2 (fun _ -> snd (once (campaign lanes))))
         in
-        (lanes, Faultsim.summary_to_json s, campaign_cycles s, seconds))
-      [ 1; 4; 16; 64 ]
+        (lanes, json, cycles, seconds))
+      firsts
   in
   let _, lanes1_json, _, _ = List.hd batched in
   let rows =

@@ -10,34 +10,22 @@
 
 open Cmdliner
 
-let kind_conv =
+(* Container and target names, parsed by the metamodel's short-name
+   table. *)
+let short_name_conv what of_short_name name =
   let parse s =
-    match String.lowercase_ascii s with
-    | "stack" -> Ok Hwpat_meta.Metamodel.Stack
-    | "queue" -> Ok Hwpat_meta.Metamodel.Queue
-    | "rbuffer" | "read-buffer" -> Ok Hwpat_meta.Metamodel.Read_buffer
-    | "wbuffer" | "write-buffer" -> Ok Hwpat_meta.Metamodel.Write_buffer
-    | "vector" -> Ok Hwpat_meta.Metamodel.Vector
-    | "assoc" | "assoc-array" -> Ok Hwpat_meta.Metamodel.Assoc_array
-    | other -> Error (`Msg (Printf.sprintf "unknown container %S" other))
+    match of_short_name s with
+    | Some x -> Ok x
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))
   in
-  let print fmt k =
-    Format.pp_print_string fmt (Hwpat_meta.Metamodel.container_name k)
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt x -> Format.pp_print_string fmt (name x))
+
+let kind_conv =
+  Hwpat_meta.Metamodel.(
+    short_name_conv "container" container_of_short_name container_name)
 
 let target_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "fifo" -> Ok Hwpat_meta.Metamodel.Fifo_core
-    | "lifo" -> Ok Hwpat_meta.Metamodel.Lifo_core
-    | "bram" -> Ok Hwpat_meta.Metamodel.Block_ram
-    | "sram" -> Ok Hwpat_meta.Metamodel.Ext_sram
-    | "linebuf" | "linebuf3" -> Ok Hwpat_meta.Metamodel.Line_buffer3
-    | other -> Error (`Msg (Printf.sprintf "unknown target %S" other))
-  in
-  let print fmt t = Format.pp_print_string fmt (Hwpat_meta.Metamodel.target_name t) in
-  Arg.conv (parse, print)
+  Hwpat_meta.Metamodel.(short_name_conv "target" target_of_short_name target_name)
 
 (* --- generate ---------------------------------------------------------- *)
 

@@ -12,12 +12,28 @@
     convention [Equiv.check] implements (exclusive inputs tied to
     zero).
 
-    Supported kinds: [Queue] and [Stack] (sequential interface:
-    [get_req], [put_req], [put_data] in; [get_ack], [get_data],
-    [put_ack], [empty], [full], [size] out) and [Vector] (random
-    interface: [read_req], [write_req], [addr], [write_data] in;
-    [read_ack], [read_data], [write_ack], [length] out). Other kinds
-    raise [Invalid_argument]. *)
+    Every kind elaborates over every legal target. Ports (inputs;
+    outputs):
+    - [Queue], [Stack]: [get_req], [put_req], [put_data]; [get_ack],
+      [get_data], [put_ack], [empty], [full], [size].
+    - [Read_buffer]: [get_req], [px_valid], [px_data]; [get_ack],
+      [get_data], [px_ready], [empty], [full], [size]. Over
+      [Line_buffer3] a line is [depth] pixels and [get_data] is the
+      3-pixel column, 3 × [elem_width] bits.
+    - [Write_buffer]: [out_ready], [put_req], [put_data]; [put_ack],
+      [out_valid], [out_data], [empty], [full], [size].
+    - [Vector]: [read_req], [write_req], [addr], [write_data];
+      [read_ack], [read_data], [write_ack], [length].
+    - [Assoc_array]: [lookup_req], [insert_req], [delete_req], [key],
+      [value_in]; [lookup_ack], [lookup_found], [lookup_data],
+      [insert_ack], [insert_ok], [delete_ack], [delete_found],
+      [occupancy].
+
+    Pruning ties the requests of a dropped [Read] and the requests and
+    data of a dropped [Write] to zero; the stream ports, [addr] and
+    [key] always stay. Data and index widths equal those of
+    {!Hwpat_meta.Codegen}'s entity ([addr] and [key] are [addr_width]
+    bits). Protection ([parity], [op_timeout]) is not elaborated. *)
 
 open Hwpat_rtl
 

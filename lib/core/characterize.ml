@@ -1,136 +1,48 @@
 open Hwpat_rtl
-open Hwpat_rtl.Signal
-open Hwpat_containers
+open Hwpat_meta
 open Hwpat_synthesis
 
-type point = {
-  container : string;
-  target : string;
-  elem_width : int;
-  depth : int;
-  wait_states : int;
-}
+type point = Config.t
+
+let point ?(wait_states = 1) kind target ~elem_width ~depth =
+  Config.make ~instance_name:(Metamodel.container_short_name kind) ~kind
+    ~target ~elem_width ~depth ~wait_states ()
 
 let default_points =
-  let base container target =
+  let base kind target =
     List.concat_map
       (fun elem_width ->
-        List.map
-          (fun depth -> { container; target; elem_width; depth; wait_states = 1 })
-          [ 64; 512 ])
+        List.map (fun depth -> point kind target ~elem_width ~depth) [ 64; 512 ])
       [ 8; 16 ]
   in
-  base "queue" "fifo" @ base "queue" "bram"
-  @ List.concat_map
-      (fun ws ->
-        [ { container = "queue"; target = "sram"; elem_width = 8; depth = 512; wait_states = ws } ])
+  let open Metamodel in
+  base Queue Fifo_core @ base Queue Block_ram
+  @ List.map
+      (fun wait_states -> point ~wait_states Queue Ext_sram ~elem_width:8 ~depth:512)
       [ 0; 1; 2 ]
-  @ base "stack" "lifo" @ base "stack" "bram"
-  @ [ { container = "stack"; target = "sram"; elem_width = 8; depth = 512; wait_states = 1 } ]
+  @ base Stack Lifo_core @ base Stack Block_ram
   @ [
-      { container = "vector"; target = "bram"; elem_width = 8; depth = 256; wait_states = 1 };
-      { container = "vector"; target = "sram"; elem_width = 8; depth = 256; wait_states = 1 };
-      { container = "assoc"; target = "bram"; elem_width = 8; depth = 64; wait_states = 1 };
-      { container = "assoc"; target = "sram"; elem_width = 8; depth = 64; wait_states = 1 };
+      point Stack Ext_sram ~elem_width:8 ~depth:512;
+      point Vector Block_ram ~elem_width:8 ~depth:256;
+      point Vector Ext_sram ~elem_width:8 ~depth:256;
+      point Assoc_array Block_ram ~elem_width:8 ~depth:64;
+      point Assoc_array Ext_sram ~elem_width:8 ~depth:64;
     ]
 
-let build_seq point driver =
-  match (point.container, point.target) with
-  | "queue", "fifo" ->
-    Queue_c.over_fifo ~depth:point.depth ~width:point.elem_width driver
-  | "queue", "bram" ->
-    Queue_c.over_bram ~depth:point.depth ~width:point.elem_width driver
-  | "queue", "sram" ->
-    Queue_c.over_sram ~depth:point.depth ~width:point.elem_width
-      ~wait_states:point.wait_states driver
-  | "stack", "lifo" ->
-    Stack_c.over_lifo ~depth:point.depth ~width:point.elem_width driver
-  | "stack", "bram" ->
-    Stack_c.over_bram ~depth:point.depth ~width:point.elem_width driver
-  | "stack", "sram" ->
-    Stack_c.over_sram ~depth:point.depth ~width:point.elem_width
-      ~wait_states:point.wait_states driver
-  | c, t -> invalid_arg (Printf.sprintf "Characterize: unknown point %s/%s" c t)
-
-(* Vectors and associative arrays have their own functional
-   interfaces; wrap each in a harness with uniform port names so one
-   measurement loop drives all of them. *)
-let vector_harness point =
-  let driver =
-    {
-      Container_intf.read_req = input "get_req" 1;
-      write_req = input "put_req" 1;
-      addr = input "addr" (Util.address_bits point.depth);
-      write_data = input "put_data" point.elem_width;
-    }
-  in
-  let v =
-    match point.target with
-    | "bram" -> Vector_c.over_bram ~length:point.depth ~width:point.elem_width driver
-    | "sram" ->
-      Vector_c.over_sram ~length:point.depth ~width:point.elem_width
-        ~wait_states:point.wait_states driver
-    | t -> invalid_arg ("Characterize: vector over " ^ t)
-  in
-  Circuit.create_exn
-    ~name:(Printf.sprintf "vector_%s_%dx%d" point.target point.elem_width point.depth)
-    [
-      ("get_ack", v.Container_intf.read_ack);
-      ("get_data", v.Container_intf.read_data);
-      ("put_ack", v.Container_intf.write_ack);
-    ]
-
-let assoc_harness point =
-  let kw = Util.address_bits point.depth + 2 in
-  let driver =
-    {
-      Container_intf.lookup_req = input "get_req" 1;
-      insert_req = input "put_req" 1;
-      delete_req = gnd;
-      key = input "key" kw;
-      value_in = input "put_data" point.elem_width;
-    }
-  in
-  let a =
-    match point.target with
-    | "bram" ->
-      Assoc_array.over_bram ~slots:point.depth ~key_width:kw
-        ~value_width:point.elem_width driver
-    | "sram" ->
-      Assoc_array.over_sram ~slots:point.depth ~key_width:kw
-        ~value_width:point.elem_width ~wait_states:point.wait_states driver
-    | t -> invalid_arg ("Characterize: assoc over " ^ t)
-  in
-  Circuit.create_exn
-    ~name:(Printf.sprintf "assoc_%s_%dx%d" point.target point.elem_width point.depth)
-    [
-      ("get_ack", a.Container_intf.lookup_ack);
-      ("get_data", a.Container_intf.lookup_data);
-      ("put_ack", a.Container_intf.insert_ack);
-    ]
-
-let harness point =
-  if point.container = "vector" then vector_harness point
-  else if point.container = "assoc" then assoc_harness point
-  else
-  let driver =
-    {
-      Container_intf.get_req = input "get_req" 1;
-      put_req = input "put_req" 1;
-      put_data = input "put_data" point.elem_width;
-    }
-  in
-  let c = build_seq point driver in
-  Circuit.create_exn
-    ~name:(Printf.sprintf "%s_%s_%dx%d" point.container point.target
-             point.elem_width point.depth)
-    [
-      ("get_ack", c.Container_intf.get_ack);
-      ("get_data", c.Container_intf.get_data);
-      ("put_ack", c.Container_intf.put_ack);
-      ("empty", c.Container_intf.empty);
-      ("full", c.Container_intf.full);
-    ]
+(* The ports of each kind's full circuit ({!Elaborate}) that the
+   put/get workload drives: put request, put data, put ack, get
+   request, get ack, and the index of the random-access kinds. *)
+let ports = function
+  | Metamodel.Queue | Metamodel.Stack ->
+    ("put_req", "put_data", "put_ack", "get_req", "get_ack", None)
+  | Metamodel.Read_buffer ->
+    ("px_valid", "px_data", "px_ready", "get_req", "get_ack", None)
+  | Metamodel.Write_buffer ->
+    ("put_req", "put_data", "put_ack", "out_ready", "out_valid", None)
+  | Metamodel.Vector ->
+    ("write_req", "write_data", "write_ack", "read_req", "read_ack", Some "addr")
+  | Metamodel.Assoc_array ->
+    ("insert_req", "value_in", "insert_ack", "lookup_req", "lookup_ack", Some "key")
 
 (* Run a put/get ping-pong workload and report (cycles per access,
    power monitor, whether an ack guard tripped).
@@ -140,12 +52,14 @@ let harness point =
    this workload — so the measurement is aborted and reported as timed
    out rather than folded into a bogus cycles-per-access figure (the
    old behaviour silently ranked such points in the design space). *)
-let measure ?(check = fun () -> ()) sim =
-  let set name v = Cyclesim.in_port sim name := Bits.of_int ~width:1 v in
-  let setd v w = Cyclesim.in_port sim "put_data" := Bits.of_int ~width:w v in
+let measure ?(check = fun () -> ()) kind sim =
+  let put_req, put_data, put_ack, get_req, get_ack, index = ports kind in
+  let drive name v =
+    let r = Cyclesim.in_port sim name in
+    r := Bits.of_int ~width:(Bits.width !r) v
+  in
   let out name = Bits.to_bool !(Cyclesim.out_port sim name) in
   let monitor = Power.monitor sim in
-  let width = Bits.width !(Cyclesim.in_port sim "put_data") in
   let cycles = ref 0 in
   let step () =
     check ();
@@ -153,14 +67,9 @@ let measure ?(check = fun () -> ()) sim =
     Power.sample monitor;
     incr cycles
   in
-  let set_opt name v =
-    match Cyclesim.in_port sim name with
-    | r -> r := Bits.of_int ~width:(Bits.width !r) v
-    | exception Invalid_argument _ -> ()
-  in
-  set "get_req" 0;
-  set "put_req" 0;
-  setd 0 width;
+  drive get_req 0;
+  drive put_req 0;
+  drive put_data 0;
   step ();
   let timed_out = ref false in
   let await_ack name =
@@ -175,18 +84,17 @@ let measure ?(check = fun () -> ()) sim =
   let accesses = 32 in
   (try
      for i = 1 to accesses do
-       set_opt "addr" (i land 15);
-       set_opt "key" (i land 15);
-       set "put_req" 1;
-       setd (i land 255) width;
-       await_ack "put_ack";
+       Option.iter (fun index -> drive index (i land 15)) index;
+       drive put_req 1;
+       drive put_data (i land 255);
+       await_ack put_ack;
        if !timed_out then raise Exit;
-       set "put_req" 0;
+       drive put_req 0;
        step ();
-       set "get_req" 1;
-       await_ack "get_ack";
+       drive get_req 1;
+       await_ack get_ack;
        if !timed_out then raise Exit;
-       set "get_req" 0;
+       drive get_req 0;
        step ()
      done
    with Exit -> ());
@@ -196,15 +104,17 @@ let measure ?(check = fun () -> ()) sim =
   in
   (per_access, monitor, !timed_out)
 
-let point_label point =
-  Printf.sprintf "%s/%s/%dx%d%s" point.container point.target point.elem_width
-    point.depth
-    (if point.target = "sram" then Printf.sprintf "/ws%d" point.wait_states
+let point_label (p : point) =
+  Printf.sprintf "%s/%s/%dx%d%s"
+    (Metamodel.container_short_name p.kind)
+    (Metamodel.target_name p.target)
+    p.elem_width p.depth
+    (if p.target = Metamodel.Ext_sram then Printf.sprintf "/ws%d" p.wait_states
      else "")
 
 (* Differential validation of the bit-parallel batched engine: one
    batched simulation carries [lanes] independent random stimulus
-   streams over the point's measurement harness, and the naive
+   streams over the point's full circuit, and the naive
    tree-walking interpreter replays every lane as the oracle — every
    output port must agree on every cycle.  This is deliberately *not*
    part of [measure]: the characterisation numbers come from the
@@ -213,7 +123,7 @@ let point_label point =
    (memories, handshakes, wait states), not just random netlists. *)
 let selfcheck ?(lanes = Hwpat_rtl.Simbatch.lane_bits) ?(cycles = 32)
     ?(seed = 1) point =
-  let circuit = harness point in
+  let circuit = Hwpat_containers.Elaborate.full point in
   let rng = Random.State.make [| 0xba7c4; seed |] in
   (* Uniform random vector of any width, 16 bits at a time. *)
   let random_bits ~width =
@@ -267,37 +177,15 @@ let selfcheck ?(lanes = Hwpat_rtl.Simbatch.lane_bits) ?(cycles = 32)
   done;
   !checks
 
-let characterize ?check point =
-  let circuit = harness point in
-  let resources = Techmap.estimate circuit in
-  let timing = Timing.analyze circuit in
-  let sim = Cyclesim.create circuit in
-  let access_cycles, monitor, timed_out = measure ?check sim in
-  let power = Power.estimate ~clock_mhz:timing.Timing.fmax_mhz monitor in
-  {
-    Design_space.label = point_label point;
-    container = point.container;
-    target = point.target;
-    elem_width = point.elem_width;
-    depth = point.depth;
-    luts = resources.Techmap.luts;
-    ffs = resources.Techmap.ffs;
-    brams = resources.Techmap.brams;
-    access_cycles;
-    fmax_mhz = timing.Timing.fmax_mhz;
-    power_mw = (if timed_out then infinity else power.Power.total_mw);
-    measured = not timed_out;
-  }
-
 (* A point the supervisor gave up on (watchdog timeout, cancellation):
    reported as an unmeasurable candidate so the sweep output still
    lists every point, and ranking excludes it exactly like an
    ack-guard trip. *)
-let unfinished_candidate point =
+let unfinished_candidate (point : point) =
   {
     Design_space.label = point_label point;
-    container = point.container;
-    target = point.target;
+    container = Metamodel.container_short_name point.kind;
+    target = Metamodel.target_name point.target;
     elem_width = point.elem_width;
     depth = point.depth;
     luts = 0;
@@ -307,6 +195,24 @@ let unfinished_candidate point =
     fmax_mhz = 0.0;
     power_mw = infinity;
     measured = false;
+  }
+
+let characterize ?check (point : point) =
+  let circuit = Hwpat_containers.Elaborate.full point in
+  let resources = Techmap.estimate circuit in
+  let timing = Timing.analyze circuit in
+  let sim = Cyclesim.create circuit in
+  let access_cycles, monitor, timed_out = measure ?check point.kind sim in
+  let power = Power.estimate ~clock_mhz:timing.Timing.fmax_mhz monitor in
+  {
+    (unfinished_candidate point) with
+    luts = resources.Techmap.luts;
+    ffs = resources.Techmap.ffs;
+    brams = resources.Techmap.brams;
+    access_cycles;
+    fmax_mhz = timing.Timing.fmax_mhz;
+    power_mw = (if timed_out then infinity else power.Power.total_mw);
+    measured = not timed_out;
   }
 
 (* Journal payload for a measured point (identity lives in the shard

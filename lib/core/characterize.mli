@@ -8,28 +8,39 @@
     activity in simulation, and return {!Hwpat_synthesis.Design_space}
     candidates. *)
 
-type point = {
-  container : string;
-  target : string;
-  elem_width : int;
-  depth : int;
-  wait_states : int;
-}
+type point = Hwpat_meta.Config.t
+(** A sweep point is a container config; {!characterize} measures
+    [Elaborate.full] of it. *)
+
+val point :
+  ?wait_states:int ->
+  Hwpat_meta.Metamodel.container_kind ->
+  Hwpat_meta.Metamodel.target ->
+  elem_width:int ->
+  depth:int ->
+  point
+(** [Config.make] with every operation, no protection, [wait_states]
+    (default 1) and the kind's short name as the instance name.
+    Raises [Invalid_argument] with [Config.make]'s message on an
+    illegal point. *)
 
 val default_points : point list
 (** Queues and stacks over each legal target, widths 8 and 16, depths
-    64 and 512, SRAM at 0–2 wait states. *)
+    64 and 512, SRAM at 0–2 wait states; a vector and an associative
+    array over block RAM and SRAM. *)
 
 val point_label : point -> string
-(** "container/target/WxD" (plus "/wsN" for SRAM targets): the
-    candidate label, and the point's checkpoint-journal identity. *)
+(** "container/target/WxD" (plus "/wsN" for SRAM targets) in short
+    names: the candidate label, and the point's checkpoint-journal identity. *)
 
 val measure :
   ?check:(unit -> unit) ->
+  Hwpat_meta.Metamodel.container_kind ->
   Hwpat_rtl.Cyclesim.t ->
   float * Hwpat_synthesis.Power.monitor * bool
-(** Drive the put/get ping-pong workload against a measurement harness
-    simulator: (cycles per access, power monitor, timed out). Each
+(** Drive the put/get ping-pong workload against a simulator of the
+    kind's full circuit, through that kind's put, get and index ports:
+    (cycles per access, power monitor, timed out). Each
     handshake is bounded by a 200-cycle ack guard; when one trips the
     workload is aborted, cycles-per-access is [infinity] and the third
     component is [true] — the point must be reported as unmeasurable,
@@ -38,7 +49,7 @@ val measure :
 
 val selfcheck : ?lanes:int -> ?cycles:int -> ?seed:int -> point -> int
 (** Differential validation of the bit-parallel batched engine
-    ({!Hwpat_rtl.Simbatch}) on this point's measurement harness: one
+    ({!Hwpat_rtl.Simbatch}) on this point's full circuit: one
     batched simulation carries [lanes] (default 64) independent random
     stimulus streams, and the naive tree-walking interpreter replays
     every lane as the oracle.  Every output port of every lane is
@@ -52,9 +63,11 @@ val selfcheck : ?lanes:int -> ?cycles:int -> ?seed:int -> point -> int
 
 val characterize :
   ?check:(unit -> unit) -> point -> Hwpat_synthesis.Design_space.candidate
-(** Builds the container, synthesises a measurement harness, runs a
+(** Elaborates the point's full circuit, estimates it, runs the
     put/get workload and fills in every candidate field. A point whose
-    measurement times out comes back with [measured = false]. *)
+    measurement times out comes back with [measured = false]; a read
+    buffer over [Line_buffer3] always does, since only a get takes its
+    stream's pixels. *)
 
 val sweep :
   ?trace:Hwpat_obs.Trace.t ->

@@ -70,6 +70,13 @@ let protection_ports cfg =
   | Some _ -> [ p "timeout" Out 1 ]
   | None -> []
 
+(* A read returns one element, except over the 3-line buffer, whose
+   read is the 3-pixel column (top & mid & bot). *)
+let read_width cfg =
+  match cfg.Config.target with
+  | Metamodel.Line_buffer3 -> 3 * cfg.Config.elem_width
+  | _ -> cfg.Config.elem_width
+
 let functional_ports cfg =
   let open Metamodel in
   let methods = List.map (fun m -> p ("m_" ^ m) In 1) (method_names cfg) in
@@ -87,7 +94,7 @@ let functional_ports cfg =
     | Assoc_array -> [ p "a_key" In cfg.Config.addr_width ]
     | Stack | Queue | Read_buffer | Write_buffer -> []
   in
-  let data_out = if has_op cfg Read then [ p "r_data" Out elem ] else [] in
+  let data_out = if has_op cfg Read then [ p "r_data" Out (read_width cfg) ] else [] in
   let found =
     match cfg.Config.kind with Assoc_array -> [ p "r_found" Out 1 ] | _ -> []
   in
@@ -137,10 +144,12 @@ let implementation_ports cfg =
       p "ack" In 1;
     ]
   | Metamodel.Line_buffer3 ->
+    (* The on-chip line buffer holds whole pixels, whatever the bus. *)
+    let px = cfg.Config.elem_width in
     [
-      p "p_top" In bus;
-      p "p_mid" In bus;
-      p "p_bot" In bus;
+      p "p_top" In px;
+      p "p_mid" In px;
+      p "p_bot" In px;
       p "p_valid" In 1;
       p "p_advance" Out 1;
     ]
@@ -618,7 +627,7 @@ let iterator_ports cfg =
         match op with
         | Inc -> [ p "it_inc" In 1 ]
         | Dec -> [ p "it_dec" In 1 ]
-        | Read -> [ p "it_read" In 1; p "it_data" Out cfg.Config.elem_width ]
+        | Read -> [ p "it_read" In 1; p "it_data" Out (read_width cfg) ]
         | Write -> [ p "it_write" In 1; p "it_wdata" In cfg.Config.elem_width ]
         | Index -> [ p "it_index" In 1; p "it_pos" In cfg.Config.addr_width ])
       cfg.Config.ops_used

@@ -123,6 +123,27 @@ let target_name = function
   | Ext_sram -> "sram"
   | Line_buffer3 -> "linebuf3"
 
+(* The short names the CLI, the serve protocol and the sweep labels
+   use, then the aliases each also accepts.  The first name of each
+   entry is the one printed. *)
+let container_short_names =
+  [ (Stack, [ "stack"; "lifo-stack" ]); (Queue, [ "queue"; "fifo-queue" ]);
+    (Read_buffer, [ "rbuffer"; "read-buffer" ]);
+    (Write_buffer, [ "wbuffer"; "write-buffer" ]); (Vector, [ "vector" ]);
+    (Assoc_array, [ "assoc"; "assoc-array" ]) ]
+
+let target_short_names =
+  [ (Fifo_core, [ "fifo" ]); (Lifo_core, [ "lifo" ]); (Block_ram, [ "bram" ]);
+    (Ext_sram, [ "sram" ]); (Line_buffer3, [ "linebuf3"; "linebuf" ]) ]
+
+let of_short_name table s =
+  let s = String.lowercase_ascii s in
+  List.find_map (fun (x, names) -> if List.mem s names then Some x else None) table
+
+let container_short_name k = List.hd (List.assoc k container_short_names)
+let container_of_short_name = of_short_name container_short_names
+let target_of_short_name = of_short_name target_short_names
+
 let operation_name = function
   | Inc -> "inc"
   | Dec -> "dec"

@@ -62,6 +62,19 @@ val container_name : container_kind -> string
 val target_name : target -> string
 val operation_name : operation -> string
 
+val container_short_name : container_kind -> string
+(** The name the CLI, the serve protocol and the sweep labels print:
+    stack, queue, rbuffer, wbuffer, vector, assoc. Targets print as
+    {!target_name}. *)
+
+val container_of_short_name : string -> container_kind option
+(** Case-insensitive; accepts the short names and the aliases
+    lifo-stack, fifo-queue, read-buffer, write-buffer, assoc-array. *)
+
+val target_of_short_name : string -> target option
+(** Case-insensitive: fifo, lifo, bram, sram, linebuf3 (alias
+    linebuf). *)
+
 (** Optional protection hardware the generator can weave into a mapped
     container (error detection and graceful degradation). *)
 type protection = Parity | Op_watchdog

@@ -1,29 +1,17 @@
 open Hwpat_meta
 
-let container_of_string s =
-  match String.lowercase_ascii s with
-  | "stack" | "lifo-stack" -> Metamodel.Stack
-  | "queue" | "fifo-queue" -> Metamodel.Queue
-  | "rbuffer" | "read-buffer" -> Metamodel.Read_buffer
-  | "wbuffer" | "write-buffer" -> Metamodel.Write_buffer
-  | "vector" -> Metamodel.Vector
-  | "assoc" | "assoc-array" -> Metamodel.Assoc_array
-  | _ ->
-    Protocol.invalid_params
-      "unknown container %S (valid: stack, queue, rbuffer, wbuffer, vector, \
-       assoc)"
-      s
+let of_short_name what valid of_short_name s =
+  match of_short_name s with
+  | Some x -> x
+  | None -> Protocol.invalid_params "unknown %s %S (valid: %s)" what s valid
 
-let target_of_string s =
-  match String.lowercase_ascii s with
-  | "fifo" -> Metamodel.Fifo_core
-  | "lifo" -> Metamodel.Lifo_core
-  | "bram" -> Metamodel.Block_ram
-  | "sram" -> Metamodel.Ext_sram
-  | "linebuf" | "linebuf3" -> Metamodel.Line_buffer3
-  | _ ->
-    Protocol.invalid_params
-      "unknown target %S (valid: fifo, lifo, bram, sram, linebuf3)" s
+let container_of_string =
+  of_short_name "container" "stack, queue, rbuffer, wbuffer, vector, assoc"
+    Metamodel.container_of_short_name
+
+let target_of_string =
+  of_short_name "target" "fifo, lifo, bram, sram, linebuf3"
+    Metamodel.target_of_short_name
 
 let operation_of_string s =
   match String.lowercase_ascii s with

@@ -289,14 +289,16 @@ let faultsim t ctx params =
 
 let point_of_json j =
   match j with
-  | Json.Obj _ ->
-    {
-      Characterize.container = Json.get_string j "container" ~default:"queue";
-      target = Json.get_string j "target" ~default:"fifo";
-      elem_width = Json.get_int j "width" ~default:8;
-      depth = Json.get_int j "depth" ~default:64;
-      wait_states = Json.get_int j "wait_states" ~default:1;
-    }
+  | Json.Obj _ -> (
+    let kind = Canon.container_of_string (Json.get_string j "container" ~default:"queue") in
+    let target = Canon.target_of_string (Json.get_string j "target" ~default:"fifo") in
+    try
+      Characterize.point
+        ~wait_states:(Json.get_int j "wait_states" ~default:1)
+        kind target
+        ~elem_width:(Json.get_int j "width" ~default:8)
+        ~depth:(Json.get_int j "depth" ~default:64)
+    with Invalid_argument msg -> raise (Protocol.Error (Invalid_params, msg)))
   | _ -> Protocol.invalid_params "points must be a list of objects"
 
 let sweep t ctx params =

@@ -224,21 +224,16 @@ let test_journal_note () =
 
 (* --- The Characterize consumer ------------------------------------------- *)
 
-(* 64 random stimulus lanes on a queue-over-FIFO harness, naive engine
+(* 64 random stimulus lanes on a queue-over-FIFO full circuit, naive engine
    as the per-lane oracle. The return value counts per-lane port
-   comparisons: lanes * cycles * ports. *)
+   comparisons: lanes * cycles * ports (six outputs). *)
 let test_characterize_selfcheck () =
   let point =
-    {
-      Characterize.container = "queue";
-      target = "fifo";
-      elem_width = 8;
-      depth = 64;
-      wait_states = 1;
-    }
+    Characterize.point Hwpat_meta.Metamodel.Queue Hwpat_meta.Metamodel.Fifo_core
+      ~elem_width:8 ~depth:64
   in
   let checks = Characterize.selfcheck ~cycles:12 ~seed:3 point in
-  Alcotest.(check int) "comparison count" (64 * 12 * 5) checks
+  Alcotest.(check int) "comparison count" (64 * 12 * 6) checks
 
 (* --- API edges ----------------------------------------------------------- *)
 

@@ -594,6 +594,15 @@ let test_pruned_container_equivalence () =
       Config.make ~instance_name:"tv" ~kind:Metamodel.Vector
         ~target:Metamodel.Ext_sram ~elem_width:4 ~depth:4 ~wait_states:1
         ~ops_used:[ Metamodel.Read; Metamodel.Index ] ();
+      Config.make ~instance_name:"trb" ~kind:Metamodel.Read_buffer
+        ~target:Metamodel.Block_ram ~elem_width:4 ~depth:8
+        ~ops_used:[ Metamodel.Inc ] ();
+      Config.make ~instance_name:"twb" ~kind:Metamodel.Write_buffer
+        ~target:Metamodel.Fifo_core ~elem_width:4 ~depth:8
+        ~ops_used:[ Metamodel.Inc ] ();
+      Config.make ~instance_name:"ta" ~kind:Metamodel.Assoc_array
+        ~target:Metamodel.Block_ram ~elem_width:4 ~depth:8
+        ~ops_used:[ Metamodel.Read; Metamodel.Index ] ();
     ]
   in
   List.iter

@@ -305,6 +305,58 @@ let test_stack_strobes_follow_table1 () =
         (contains "c_m_push <= it_write and it_dec;" iterator))
     stacks
 
+(* One elaboration path: every legal config elaborates in full and
+   pruned form, both forms estimate, pruning only removes inputs, and
+   the netlist's data and index ports are as wide as the entity's
+   under one fixed name map.  The entity declares [a_data] exactly
+   when the pruned netlist keeps a data input. *)
+let netlist_names =
+  [
+    ("r_data", [ "get_data"; "read_data"; "lookup_data" ]);
+    ("a_data", [ "put_data"; "write_data"; "value_in" ]);
+    ("a_index", [ "addr" ]);
+    ("a_key", [ "key" ]);
+  ]
+
+let test_all_configs_elaborate () =
+  let module Circuit = Hwpat_rtl.Circuit in
+  let ports c = List.map (fun (n, s) -> (n, Hwpat_rtl.Signal.width s)) c in
+  List.iter
+    (fun cfg ->
+      let what s = Printf.sprintf "%s: %s" (Config.describe cfg) s in
+      let full = Hwpat_containers.Elaborate.full cfg in
+      let pruned = Hwpat_containers.Elaborate.pruned cfg in
+      List.iter
+        (fun c ->
+          ignore (Hwpat_synthesis.Techmap.estimate c);
+          ignore (Hwpat_synthesis.Timing.analyze c))
+        [ full; pruned ];
+      let full_ports = ports (Circuit.inputs full) @ ports (Circuit.outputs full) in
+      let pruned_inputs = ports (Circuit.inputs pruned) in
+      List.iter
+        (fun (n, w) ->
+          if not (List.mem (n, w) full_ports) then
+            Alcotest.failf "%s" (what ("pruned input " ^ n ^ " not a full input")))
+        pruned_inputs;
+      List.iter
+        (fun (port : Codegen.port) ->
+          match List.assoc_opt port.port_name netlist_names with
+          | None -> ()
+          | Some names -> (
+            match List.filter (fun (n, _) -> List.mem n names) full_ports with
+            | [ (n, w) ] ->
+              check_int (what (port.port_name ^ " width vs " ^ n)) port.width w
+            | _ -> Alcotest.failf "%s" (what ("no netlist port for " ^ port.port_name))))
+        (Codegen.functional_ports cfg);
+      check_bool (what "a_data iff a pruned data input")
+        (List.exists
+           (fun p -> p.Codegen.port_name = "a_data")
+           (Codegen.functional_ports cfg))
+        (List.exists
+           (fun (n, _) -> List.mem n (List.assoc "a_data" netlist_names))
+           pruned_inputs))
+    all_configs
+
 let test_lint_catches_errors () =
   let bad_balance = "entity x is\nend x;\nprocess (clk)\nbegin\n" in
   check_bool "unbalanced process" true (not (Vhdl_lint.is_clean bad_balance));
@@ -547,6 +599,11 @@ let () =
           Alcotest.test_case "multi-word machinery" `Quick
             test_multiword_generates_word_machinery;
           Alcotest.test_case "foundation package" `Quick test_package_generation;
+        ] );
+      ( "elaborate",
+        [
+          Alcotest.test_case "every config, full and pruned" `Quick
+            test_all_configs_elaborate;
         ] );
       ( "algorithm metamodels",
         [

@@ -321,16 +321,13 @@ let test_faultsim_jobs_deterministic () =
     (Faultsim.summary_to_json b)
 
 let sweep_points =
-  [
-    { Characterize.container = "queue"; target = "fifo"; elem_width = 8;
-      depth = 64; wait_states = 0 };
-    { Characterize.container = "queue"; target = "sram"; elem_width = 8;
-      depth = 64; wait_states = 1 };
-    { Characterize.container = "stack"; target = "bram"; elem_width = 8;
-      depth = 64; wait_states = 0 };
-    { Characterize.container = "vector"; target = "bram"; elem_width = 8;
-      depth = 64; wait_states = 0 };
-  ]
+  List.map
+    (fun (kind, target) -> Characterize.point kind target ~elem_width:8 ~depth:64)
+    Hwpat_meta.Metamodel.
+      [
+        (Queue, Fifo_core); (Queue, Ext_sram); (Stack, Block_ram);
+        (Vector, Block_ram);
+      ]
 
 let test_sweep_jobs_deterministic () =
   let a = Characterize.sweep ~jobs:1 ~points:sweep_points () in
@@ -435,7 +432,9 @@ let deaf_harness () =
 
 let test_measure_timeout_recorded () =
   let sim = Cyclesim.create (deaf_harness ()) in
-  let per_access, _monitor, timed_out = Characterize.measure sim in
+  let per_access, _monitor, timed_out =
+    Characterize.measure Hwpat_meta.Metamodel.Queue sim
+  in
   Alcotest.(check bool) "timeout recorded" true timed_out;
   Alcotest.(check bool)
     "no bogus cycles-per-access" true

@@ -708,6 +708,41 @@ let test_faultsim_request_cached () =
   let r2 = rpc c req in
   check_string "campaign summary served from cache, same bytes" r1 r2
 
+(* Sweep points are container configs: an illegal one is rejected up
+   front with Config.make's message, and any legal kind sweeps.  The
+   three kinds beyond queue/stack/vector elaborate too. *)
+let test_sweep_points_are_configs () =
+  with_server @@ fun server ->
+  with_conn server @@ fun c ->
+  let sweep point =
+    rpc c (Printf.sprintf {|{"id":1,"method":"sweep","params":{"points":[%s]}}|} point)
+  in
+  let bad = sweep {|{"container":"queue","target":"lifo"}|} in
+  check_string "illegal point code" "invalid-params" (error_code bad);
+  (match Json.parse bad with
+  | Ok doc ->
+    check_string "Config.make's message"
+      "Config.make: queue cannot be implemented over lifo"
+      (Json.get_string (Option.get (Json.member "error" doc)) "message" ~default:"")
+  | Error e -> Alcotest.fail e);
+  let ok = sweep {|{"container":"rbuffer","target":"fifo","width":8,"depth":16}|} in
+  check_bool "rbuffer/fifo sweeps" true (is_ok ok);
+  (match Json.parse ok with
+  | Ok doc ->
+    check_string "keyed by its label" "sweep/rbuffer/fifo/8x16"
+      (Json.get_string (Option.get (Json.member "result" doc)) "key" ~default:"")
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (container, target) ->
+      let r =
+        rpc c
+          (Printf.sprintf
+             {|{"id":2,"method":"elaborate","params":{"container":"%s","target":"%s","width":8,"depth":64}}|}
+             container target)
+      in
+      check_bool (container ^ "/" ^ target ^ " elaborates") true (is_ok r))
+    [ ("rbuffer", "linebuf3"); ("wbuffer", "sram"); ("assoc", "bram") ]
+
 (* Seeded mutations of well-formed request lines (byte replacements
    and truncations).  Every line gets exactly one reply — a result or
    a protocol error code other than [internal] — and the probe ping
@@ -887,6 +922,8 @@ let () =
             test_shutdown_method;
           Alcotest.test_case "batch answers every item" `Quick
             test_batch_request;
+          Alcotest.test_case "sweep points are configs" `Quick
+            test_sweep_points_are_configs;
           Alcotest.test_case "faultsim campaign cached" `Quick
             test_faultsim_request_cached;
           Alcotest.test_case "mutated request lines answered once" `Quick
